@@ -137,16 +137,47 @@ impl ClassFile {
     }
 
     /// Serializes to classfile bytes using a caller-provided scratch body
-    /// buffer, byte-identical to [`ClassFile::to_bytes`].
+    /// buffer, byte-identical to [`ClassFile::to_bytes`], and keeps the
+    /// class next to its bytes, noting whether decoding them would give the
+    /// class back: [`Encoded::exact`] is `true` only when
+    /// `ClassFile::from_bytes(&bytes) == Ok(class)`.
     ///
     /// Attribute names for decoded attributes are interned into the class's
     /// *own* pool (interning never renumbers existing entries, so operand
     /// indices stay valid and repeated calls are stable) and the body is
     /// assembled in `body_buf`, so the only allocation left on the hot path
     /// is the returned output vector itself. Used by the scratch-lowering
-    /// pipeline (`classfuzz_jimple::lower::lower_class_bytes`).
-    pub fn to_bytes_scratch(&mut self, body_buf: &mut Vec<u8>) -> Vec<u8> {
-        crate::writer::write_class_scratch(self, body_buf)
+    /// pipeline (`classfuzz_jimple::lower`).
+    ///
+    /// The check is conservative and costs no decode. The writer clears it
+    /// wherever it narrows a value to a wire field too small for it: a
+    /// count over 65,535, a Utf8 entry over 65,535 modified-UTF-8 bytes, an
+    /// attribute name interned as `#0` into a full pool, a branch offset
+    /// outside its 16- or 32-bit field, an `ldc` index over 255. It also
+    /// clears it for the shapes the reader would re-frame or re-read as
+    /// something else: `Unknown` attributes, inconsistent instruction
+    /// variants and switch tables, stray pool padding, and NaN constants
+    /// (whose decode keeps their bits but is never `==` to them).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use classfuzz_classfile::ClassFile;
+    ///
+    /// let class = ClassFile::builder("demo/Hello")
+    ///     .super_class("java/lang/Object")
+    ///     .build();
+    /// let encoded = class.encode(&mut Vec::new());
+    /// assert!(encoded.exact);
+    /// assert_eq!(ClassFile::from_bytes(&encoded.bytes), Ok(encoded.class));
+    /// ```
+    pub fn encode(mut self, body_buf: &mut Vec<u8>) -> Encoded {
+        let (bytes, exact) = crate::writer::write_class_scratch(&mut self, body_buf);
+        Encoded {
+            class: self,
+            bytes,
+            exact,
+        }
     }
 
     /// Parses a classfile from bytes.
@@ -158,6 +189,19 @@ impl ClassFile {
     pub fn from_bytes(bytes: &[u8]) -> Result<ClassFile, ClassReadError> {
         crate::reader::read_class(bytes)
     }
+}
+
+/// A class serialized by [`ClassFile::encode`], kept next to its bytes.
+#[derive(Debug, Clone)]
+pub struct Encoded {
+    /// The class as it stands after the write, its pool holding the
+    /// interned attribute names.
+    pub class: ClassFile,
+    /// The classfile bytes, identical to `class.to_bytes()`.
+    pub bytes: Vec<u8>,
+    /// Whether `ClassFile::from_bytes(&bytes) == Ok(class)` is guaranteed.
+    /// `false` means only that the writer could not vouch for it.
+    pub exact: bool,
 }
 
 /// Builder for [`ClassFile`] values.
@@ -290,6 +334,7 @@ impl ClassBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::constant_pool::Constant;
     use crate::instruction::Instruction;
     use crate::opcode::Opcode;
 
@@ -329,7 +374,7 @@ mod tests {
 
     #[test]
     fn full_pool_serializes_without_wrapping() {
-        use crate::constant_pool::{Constant, MAX_POOL_SLOTS};
+        use crate::constant_pool::MAX_POOL_SLOTS;
         let mut b = ClassFile::builder("cap/Full");
         {
             let cp = b.constant_pool_mut();
@@ -358,7 +403,7 @@ mod tests {
             exception_table: vec![],
             attributes: vec![],
         };
-        let mut class = ClassFile::builder("s/Scratch")
+        let class = ClassFile::builder("s/Scratch")
             .super_class("java/lang/Object")
             .field(FieldAccess::STATIC, "f", "I")
             .method(
@@ -372,9 +417,111 @@ mod tests {
         let mut body_buf = Vec::new();
         // First scratch call interns "Code" into the class's own pool;
         // repeated calls (a dirty, non-empty buffer) must stay identical.
-        assert_eq!(class.to_bytes_scratch(&mut body_buf), cold);
-        assert_eq!(class.to_bytes_scratch(&mut body_buf), cold);
-        assert_eq!(class.to_bytes(), cold, "interning kept operands valid");
+        let first = class.encode(&mut body_buf);
+        assert_eq!(first.bytes, cold);
+        let second = first.class.encode(&mut body_buf);
+        assert_eq!(second.bytes, cold);
+        assert_eq!(
+            second.class.to_bytes(),
+            cold,
+            "interning kept operands valid"
+        );
+    }
+
+    /// A class whose one method has `instructions` as its body.
+    fn with_code(instructions: Vec<Instruction>) -> ClassFile {
+        let code = CodeAttribute {
+            max_stack: 1,
+            max_locals: 1,
+            instructions,
+            exception_table: vec![],
+            attributes: vec![],
+        };
+        ClassFile::builder("e/Exact")
+            .super_class("java/lang/Object")
+            .method(MethodAccess::STATIC, "m", "()V", code)
+            .build()
+    }
+
+    #[test]
+    fn exact_encoding_decodes_back_to_the_class() {
+        let mut class = with_code(vec![
+            Instruction::Ldc(ConstIndex(1)),
+            Instruction::Branch(Opcode::Goto, 0),
+            Instruction::Local(Opcode::Iload, 300),
+            Instruction::Simple(Opcode::Return),
+        ]);
+        class.constant_pool.float(-0.0);
+        let encoded = class.clone().encode(&mut Vec::new());
+        assert!(encoded.exact);
+        assert_eq!(encoded.bytes, class.to_bytes());
+        assert_eq!(ClassFile::from_bytes(&encoded.bytes), Ok(encoded.class));
+    }
+
+    #[test]
+    fn encoding_the_reader_would_reframe_is_not_exact() {
+        let table = |targets: Vec<u32>| {
+            Instruction::TableSwitch(crate::instruction::TableSwitch {
+                default: 0,
+                low: 0,
+                high: 1,
+                targets,
+            })
+        };
+        let lossy = [
+            // Index past the one-byte operand.
+            vec![Instruction::Ldc(ConstIndex(300))],
+            // Operands the variant does not encode.
+            vec![Instruction::Simple(Opcode::Goto)],
+            vec![Instruction::Local(Opcode::Iadd, 1)],
+            vec![Instruction::Invoke(Opcode::Invokeinterface, ConstIndex(1))],
+            // A jump table shorter than its key range.
+            vec![table(vec![0])],
+            // Offsets past their 16- and 32-bit fields.
+            vec![Instruction::Branch(Opcode::Ifeq, 40_000)],
+            vec![Instruction::Branch(Opcode::GotoW, u32::MAX)],
+        ];
+        for instructions in lossy {
+            let what = format!("{instructions:?}");
+            let encoded = with_code(instructions).encode(&mut Vec::new());
+            assert!(!encoded.exact, "{what}");
+            assert_ne!(
+                ClassFile::from_bytes(&encoded.bytes).as_ref(),
+                Ok(&encoded.class),
+                "{what}"
+            );
+        }
+        assert!(
+            with_code(vec![table(vec![0, 0])])
+                .encode(&mut Vec::new())
+                .exact
+        );
+    }
+
+    #[test]
+    fn pool_and_attribute_shapes_the_reader_rereads_are_not_exact() {
+        // An `Unknown` attribute that carries a recognized name decodes as
+        // the typed attribute.
+        let mut unknown = with_code(vec![]);
+        let name = unknown.constant_pool.utf8("Synthetic");
+        unknown
+            .attributes
+            .push(Attribute::Unknown { name, data: vec![] });
+        // A NaN keeps its bits but is never `==` to itself.
+        let mut nan = with_code(vec![]);
+        nan.constant_pool.push(Constant::Double(f64::NAN));
+        // Padding the reader re-creates only after Long/Double.
+        let mut padding = with_code(vec![]);
+        padding.constant_pool.push(Constant::Unusable);
+        for (what, class) in [("unknown", unknown), ("nan", nan), ("padding", padding)] {
+            let encoded = class.encode(&mut Vec::new());
+            assert!(!encoded.exact, "{what}");
+            assert_ne!(
+                ClassFile::from_bytes(&encoded.bytes).as_ref(),
+                Ok(&encoded.class),
+                "{what}"
+            );
+        }
     }
 
     #[test]

@@ -173,27 +173,48 @@ impl Instruction {
     /// Appends the encoded bytes to `out`, assuming the instruction starts at
     /// code offset `pc`.
     pub fn encode(&self, pc: u32, out: &mut Vec<u8>) {
+        self.encode_exact(pc, out);
+    }
+
+    /// [`Instruction::encode`], reporting whether [`decode_code`] reads the
+    /// bytes back as this very instruction. It does not when an operand is
+    /// narrowed to a field too small for it (an `ldc` index past 255, a
+    /// branch or switch offset past its 16- or 32-bit field), when a
+    /// `tableswitch` jump table disagrees with its key range, or when the
+    /// variant carries an opcode whose operand shape it does not encode
+    /// (say `Simple(goto)`) — the decoder then re-frames the code array.
+    pub(crate) fn encode_exact(&self, pc: u32, out: &mut Vec<u8>) -> bool {
+        let rel = |target: u32| target as i64 - pc as i64;
+        let fits_i32 = |target: u32| i32::try_from(rel(target)).is_ok();
         match self {
-            Instruction::Simple(op) => out.push(op.byte()),
+            Instruction::Simple(op) => {
+                out.push(op.byte());
+                op.operand_kind() == OperandKind::None
+            }
             Instruction::Bipush(v) => {
                 out.push(Opcode::Bipush.byte());
                 out.push(*v as u8);
+                true
             }
             Instruction::Sipush(v) => {
                 out.push(Opcode::Sipush.byte());
                 out.extend_from_slice(&v.to_be_bytes());
+                true
             }
             Instruction::Ldc(idx) => {
                 out.push(Opcode::Ldc.byte());
                 out.push(idx.0 as u8);
+                idx.0 <= 0xff
             }
-            Instruction::LdcW(idx) => {
-                out.push(Opcode::LdcW.byte());
+            Instruction::LdcW(idx)
+            | Instruction::Ldc2W(idx)
+            | Instruction::New(idx)
+            | Instruction::ANewArray(idx)
+            | Instruction::CheckCast(idx)
+            | Instruction::InstanceOf(idx) => {
+                out.push(self.opcode().byte());
                 out.extend_from_slice(&idx.0.to_be_bytes());
-            }
-            Instruction::Ldc2W(idx) => {
-                out.push(Opcode::Ldc2W.byte());
-                out.extend_from_slice(&idx.0.to_be_bytes());
+                true
             }
             Instruction::Local(op, index) => {
                 if *index > 0xff {
@@ -204,6 +225,7 @@ impl Instruction {
                     out.push(op.byte());
                     out.push(*index as u8);
                 }
+                op.operand_kind() == OperandKind::Local
             }
             Instruction::Iinc { index, delta } => {
                 if *index > 0xff || *delta > i8::MAX as i16 || *delta < i8::MIN as i16 {
@@ -216,80 +238,95 @@ impl Instruction {
                     out.push(*index as u8);
                     out.push(*delta as i8 as u8);
                 }
+                true
             }
             Instruction::Branch(op, target) => {
-                let rel = *target as i64 - pc as i64;
+                out.push(op.byte());
                 match op.operand_kind() {
                     OperandKind::Branch4 => {
-                        out.push(op.byte());
-                        out.extend_from_slice(&(rel as i32).to_be_bytes());
+                        out.extend_from_slice(&(rel(*target) as i32).to_be_bytes());
+                        fits_i32(*target)
                     }
-                    _ => {
-                        out.push(op.byte());
-                        out.extend_from_slice(&(rel as i16).to_be_bytes());
+                    kind => {
+                        out.extend_from_slice(&(rel(*target) as i16).to_be_bytes());
+                        kind == OperandKind::Branch2 && i16::try_from(rel(*target)).is_ok()
                     }
                 }
             }
-            Instruction::Field(op, idx) | Instruction::Invoke(op, idx) => {
+            Instruction::Field(op, idx) => {
                 out.push(op.byte());
                 out.extend_from_slice(&idx.0.to_be_bytes());
+                matches!(
+                    op,
+                    Opcode::Getstatic | Opcode::Putstatic | Opcode::Getfield | Opcode::Putfield
+                )
+            }
+            Instruction::Invoke(op, idx) => {
+                out.push(op.byte());
+                out.extend_from_slice(&idx.0.to_be_bytes());
+                matches!(
+                    op,
+                    Opcode::Invokevirtual | Opcode::Invokespecial | Opcode::Invokestatic
+                )
             }
             Instruction::InvokeInterface { index, count } => {
                 out.push(Opcode::Invokeinterface.byte());
                 out.extend_from_slice(&index.0.to_be_bytes());
                 out.push(*count);
                 out.push(0);
+                true
             }
             Instruction::InvokeDynamic(idx) => {
                 out.push(Opcode::Invokedynamic.byte());
                 out.extend_from_slice(&idx.0.to_be_bytes());
                 out.push(0);
                 out.push(0);
+                true
             }
-            Instruction::New(idx) => encode_cp_u2(Opcode::New, *idx, out),
-            Instruction::ANewArray(idx) => encode_cp_u2(Opcode::Anewarray, *idx, out),
-            Instruction::CheckCast(idx) => encode_cp_u2(Opcode::Checkcast, *idx, out),
-            Instruction::InstanceOf(idx) => encode_cp_u2(Opcode::Instanceof, *idx, out),
             Instruction::NewArray(atype) => {
                 out.push(Opcode::Newarray.byte());
                 out.push(*atype);
+                true
             }
             Instruction::MultiANewArray { index, dims } => {
                 out.push(Opcode::Multianewarray.byte());
                 out.extend_from_slice(&index.0.to_be_bytes());
                 out.push(*dims);
+                true
             }
             Instruction::TableSwitch(ts) => {
                 out.push(Opcode::Tableswitch.byte());
                 for _ in 0..pad_after(pc) {
                     out.push(0);
                 }
-                out.extend_from_slice(&(ts.default as i64 - pc as i64).to_be_bytes()[4..]);
+                out.extend_from_slice(&(rel(ts.default) as i32).to_be_bytes());
                 out.extend_from_slice(&ts.low.to_be_bytes());
                 out.extend_from_slice(&ts.high.to_be_bytes());
                 for t in &ts.targets {
-                    out.extend_from_slice(&(*t as i64 - pc as i64).to_be_bytes()[4..]);
+                    out.extend_from_slice(&(rel(*t) as i32).to_be_bytes());
                 }
+                ts.high >= ts.low
+                    && ts.targets.len() as i64 == ts.high as i64 - ts.low as i64 + 1
+                    && fits_i32(ts.default)
+                    && ts.targets.iter().all(|&t| fits_i32(t))
             }
             Instruction::LookupSwitch(ls) => {
                 out.push(Opcode::Lookupswitch.byte());
                 for _ in 0..pad_after(pc) {
                     out.push(0);
                 }
-                out.extend_from_slice(&(ls.default as i64 - pc as i64).to_be_bytes()[4..]);
+                out.extend_from_slice(&(rel(ls.default) as i32).to_be_bytes());
                 out.extend_from_slice(&(ls.pairs.len() as i32).to_be_bytes());
                 for (k, t) in &ls.pairs {
                     out.extend_from_slice(&k.to_be_bytes());
-                    out.extend_from_slice(&(*t as i64 - pc as i64).to_be_bytes()[4..]);
+                    out.extend_from_slice(&(rel(*t) as i32).to_be_bytes());
                 }
+                i32::try_from(ls.pairs.len()).is_ok()
+                    && fits_i32(ls.default)
+                    && ls.pairs.iter().all(|&(_, t)| fits_i32(t))
             }
         }
     }
-}
-
-fn encode_cp_u2(op: Opcode, idx: ConstIndex, out: &mut Vec<u8>) {
-    out.push(op.byte());
-    out.extend_from_slice(&idx.0.to_be_bytes());
 }
 
 /// Number of padding bytes between a switch opcode at `pc` and its operands.

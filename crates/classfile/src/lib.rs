@@ -40,7 +40,7 @@ mod reader;
 mod writer;
 
 pub use attributes::{Attribute, CodeAttribute, ExceptionTableEntry, InnerClassEntry};
-pub use class::{ClassBuilder, ClassFile, FieldInfo, MethodInfo, MAGIC};
+pub use class::{ClassBuilder, ClassFile, Encoded, FieldInfo, MethodInfo, MAGIC};
 pub use constant_pool::{ConstIndex, Constant, ConstantPool, PoolFullError, MAX_POOL_SLOTS};
 pub use descriptor::{FieldType, MethodDescriptor};
 pub use error::{ClassReadError, DescriptorError};

@@ -10,9 +10,14 @@
 //! always fits a `u16`. If attribute-name interning hits a full pool it
 //! degrades to the null index `#0` — a dangling reference the VM under test
 //! rejects — never an alias of an unrelated low slot.
+//!
+//! The scratch path also records, as it narrows each value to its wire
+//! field, whether the bytes decode back to the class that wrote them (see
+//! [`ClassFile::encode`]), so a caller holding the class can skip the
+//! decode without a second walk over it.
 
 use crate::attributes::{Attribute, CodeAttribute};
-use crate::class::{ClassFile, FieldInfo, MethodInfo, MAGIC};
+use crate::class::{ClassFile, MAGIC};
 use crate::constant_pool::{Constant, ConstantPool};
 use crate::mutf8;
 
@@ -23,83 +28,84 @@ pub(crate) fn write_class(class: &ClassFile) -> Vec<u8> {
     let mut cp = class.constant_pool.clone();
     let mut body = Vec::with_capacity(estimate_body_size(class));
     write_body(&mut body, class, &mut cp);
-    assemble(class.minor_version, class.major_version, &cp, &body)
+    let (bytes, _) = assemble(class.minor_version, class.major_version, &cp, &body);
+    bytes
 }
 
-/// The scratch path behind [`ClassFile::to_bytes_scratch`]: the same byte
-/// sequence as [`write_class`], but the body is built in the caller's
-/// reusable buffer and attribute names are interned into the class's *own*
-/// pool — no pool clone. Sound because the header and pool are emitted only
-/// after the body is complete, and interning never renumbers existing
-/// entries; byte-identical to the cold path because both intern the same
-/// names in the same order into equal starting pools.
-pub(crate) fn write_class_scratch(class: &mut ClassFile, body: &mut Vec<u8>) -> Vec<u8> {
+/// The scratch path behind [`ClassFile::encode`]: the same byte sequence as
+/// [`write_class`], but the body is built in the caller's reusable buffer
+/// and attribute names are interned into the class's *own* pool — no pool
+/// clone. Sound because the header and pool are emitted only after the body
+/// is complete, and interning never renumbers existing entries;
+/// byte-identical to the cold path because both intern the same names in
+/// the same order into equal starting pools.
+///
+/// Also reports whether the encoding is exact: `true` only when
+/// [`ClassFile::from_bytes`] on the result gives back `class` as it stands
+/// after the call (attribute names interned). Every narrowing the writer
+/// makes clears the flag when it loses information, so the answer costs a
+/// comparison per narrowed value, not a decode.
+pub(crate) fn write_class_scratch(class: &mut ClassFile, body: &mut Vec<u8>) -> (Vec<u8>, bool) {
     body.clear();
     body.reserve(estimate_body_size(class));
-    let ClassFile {
-        minor_version,
-        major_version,
-        constant_pool,
-        access,
-        this_class,
-        super_class,
-        interfaces,
-        fields,
-        methods,
-        attributes,
-    } = class;
-
-    push_u2(body, access.bits());
-    push_u2(body, this_class.0);
-    push_u2(body, super_class.0);
-    push_u2(body, interfaces.len() as u16);
-    for i in interfaces.iter() {
-        push_u2(body, i.0);
-    }
-    push_u2(body, fields.len() as u16);
-    for f in fields.iter() {
-        write_field(body, f, constant_pool);
-    }
-    push_u2(body, methods.len() as u16);
-    for m in methods.iter() {
-        write_method(body, m, constant_pool);
-    }
-    write_attributes(body, attributes, constant_pool);
-
-    assemble(*minor_version, *major_version, constant_pool, body)
+    // The pool is moved out for the write so the class can be read while
+    // names are interned, then moved back: no copy either way.
+    let mut cp = std::mem::take(&mut class.constant_pool);
+    let body_exact = write_body(body, class, &mut cp);
+    class.constant_pool = cp;
+    let (bytes, pool_exact) = assemble(
+        class.minor_version,
+        class.major_version,
+        &class.constant_pool,
+        body,
+    );
+    (bytes, body_exact && pool_exact)
 }
 
 /// Emits everything after the superclass header fields — identical for the
-/// cold and scratch paths.
-fn write_body(body: &mut Vec<u8>, class: &ClassFile, cp: &mut ConstantPool) {
-    push_u2(body, class.access.bits());
-    push_u2(body, class.this_class.0);
-    push_u2(body, class.super_class.0);
-    push_u2(body, class.interfaces.len() as u16);
+/// cold and scratch paths — and reports whether it decodes back exactly.
+fn write_body(body: &mut Vec<u8>, class: &ClassFile, cp: &mut ConstantPool) -> bool {
+    let mut w = Writer {
+        out: body,
+        cp,
+        exact: true,
+    };
+    w.u2(class.access.bits());
+    w.u2(class.this_class.0);
+    w.u2(class.super_class.0);
+    w.count(class.interfaces.len());
     for i in &class.interfaces {
-        push_u2(body, i.0);
+        w.u2(i.0);
     }
-    push_u2(body, class.fields.len() as u16);
+    w.count(class.fields.len());
     for f in &class.fields {
-        write_field(body, f, cp);
+        w.u2(f.access.bits());
+        w.u2(f.name.0);
+        w.u2(f.descriptor.0);
+        w.attributes(&f.attributes);
     }
-    push_u2(body, class.methods.len() as u16);
+    w.count(class.methods.len());
     for m in &class.methods {
-        write_method(body, m, cp);
+        w.u2(m.access.bits());
+        w.u2(m.name.0);
+        w.u2(m.descriptor.0);
+        w.attributes(&m.attributes);
     }
-    write_attributes(body, &class.attributes, cp);
+    w.attributes(&class.attributes);
+    w.exact
 }
 
 /// Concatenates magic, versions, the finished pool, and the body into the
-/// owned output, allocated once at (an estimate of) its final size.
-fn assemble(minor: u16, major: u16, cp: &ConstantPool, body: &[u8]) -> Vec<u8> {
+/// owned output, allocated once at (an estimate of) its final size. Reports
+/// whether the pool decodes back exactly.
+fn assemble(minor: u16, major: u16, cp: &ConstantPool, body: &[u8]) -> (Vec<u8>, bool) {
     let mut out = Vec::with_capacity(8 + estimate_pool_size(cp) + body.len());
     push_u4(&mut out, MAGIC);
     push_u2(&mut out, minor);
     push_u2(&mut out, major);
-    write_constant_pool(&mut out, cp);
+    let exact = write_constant_pool(&mut out, cp);
     out.extend_from_slice(body);
-    out
+    (out, exact)
 }
 
 /// A cheap upper-bound-ish estimate of the serialized size of everything
@@ -150,7 +156,15 @@ fn estimate_pool_size(cp: &ConstantPool) -> usize {
         .sum::<usize>()
 }
 
-fn write_constant_pool(out: &mut Vec<u8>, cp: &ConstantPool) {
+/// Emits the pool, reporting whether it decodes back to the same entries.
+/// It does not when a Utf8 entry's modified UTF-8 form outgrows its `u16`
+/// length field, when a padding slot follows anything but a `Long` or
+/// `Double` (the reader re-creates padding only there), or when a `Float` or
+/// `Double` is a NaN, which decodes to the same bits but never compares
+/// equal to itself.
+fn write_constant_pool(out: &mut Vec<u8>, cp: &ConstantPool) -> bool {
+    let mut exact = true;
+    let mut after_wide = false;
     push_u2(out, cp.slot_count() + 1);
     for (_, entry) in cp.iter() {
         match entry {
@@ -161,8 +175,9 @@ fn write_constant_pool(out: &mut Vec<u8>, cp: &ConstantPool) {
                 let len_at = out.len();
                 push_u2(out, 0);
                 mutf8::encode_into(s, out);
-                let n = (out.len() - len_at - 2) as u16;
-                out[len_at..len_at + 2].copy_from_slice(&n.to_be_bytes());
+                let n = out.len() - len_at - 2;
+                exact &= n <= u16::MAX as usize;
+                out[len_at..len_at + 2].copy_from_slice(&(n as u16).to_be_bytes());
             }
             Constant::Integer(v) => {
                 out.push(3);
@@ -171,6 +186,7 @@ fn write_constant_pool(out: &mut Vec<u8>, cp: &ConstantPool) {
             Constant::Float(v) => {
                 out.push(4);
                 push_u4(out, v.to_bits());
+                exact &= !v.is_nan();
             }
             Constant::Long(v) => {
                 out.push(5);
@@ -179,6 +195,7 @@ fn write_constant_pool(out: &mut Vec<u8>, cp: &ConstantPool) {
             Constant::Double(v) => {
                 out.push(6);
                 out.extend_from_slice(&v.to_bits().to_be_bytes());
+                exact &= !v.is_nan();
             }
             Constant::Class(i) => {
                 out.push(7);
@@ -222,94 +239,119 @@ fn write_constant_pool(out: &mut Vec<u8>, cp: &ConstantPool) {
                 push_u2(out, *bsm);
                 push_u2(out, nt.0);
             }
-            Constant::Unusable => {} // padding after Long/Double: no bytes
+            // Padding after Long/Double: no bytes.
+            Constant::Unusable => exact &= after_wide,
+        }
+        after_wide = entry.is_wide();
+    }
+    exact
+}
+
+/// The body writer: the output, the pool attribute names are interned
+/// into, and whether everything written so far decodes back exactly.
+struct Writer<'a> {
+    out: &'a mut Vec<u8>,
+    cp: &'a mut ConstantPool,
+    exact: bool,
+}
+
+impl Writer<'_> {
+    fn u2(&mut self, v: u16) {
+        push_u2(self.out, v);
+    }
+
+    /// A `u16` element count; a longer list is truncated on the wire.
+    fn count(&mut self, n: usize) {
+        self.exact &= n <= u16::MAX as usize;
+        self.u2(n as u16);
+    }
+
+    /// Reserves a `u4` length field, to be filled by [`Writer::end_len`].
+    fn begin_len(&mut self) -> usize {
+        let at = self.out.len();
+        push_u4(self.out, 0);
+        at
+    }
+
+    /// Backpatches the `u4` length reserved at `at` with the bytes since.
+    fn end_len(&mut self, at: usize) {
+        let n = self.out.len() - at - 4;
+        self.exact &= n <= u32::MAX as usize;
+        self.out[at..at + 4].copy_from_slice(&(n as u32).to_be_bytes());
+    }
+
+    fn attributes(&mut self, attrs: &[Attribute]) {
+        self.count(attrs.len());
+        for attr in attrs {
+            // Name first (the pre-payload interning order the pool layout
+            // is pinned to), then the payload straight into `out` behind a
+            // backpatched u4 length — no per-attribute buffer.
+            let name_idx = match attr {
+                Attribute::Code(_) => self.cp.utf8("Code"),
+                Attribute::Exceptions(_) => self.cp.utf8("Exceptions"),
+                Attribute::ConstantValue(_) => self.cp.utf8("ConstantValue"),
+                Attribute::SourceFile(_) => self.cp.utf8("SourceFile"),
+                Attribute::Signature(_) => self.cp.utf8("Signature"),
+                Attribute::InnerClasses(_) => self.cp.utf8("InnerClasses"),
+                Attribute::Synthetic => self.cp.utf8("Synthetic"),
+                Attribute::Deprecated => self.cp.utf8("Deprecated"),
+                Attribute::Unknown { name, .. } => *name,
+            };
+            // A full pool interns a name as the null index `#0`, which the
+            // reader keeps as an `Unknown` attribute. An `Unknown` one may
+            // itself carry a recognized name and so decode as a typed one:
+            // the writer cannot vouch for either.
+            self.exact &= name_idx.0 != 0 && !matches!(attr, Attribute::Unknown { .. });
+            self.u2(name_idx.0);
+            let len_at = self.begin_len();
+            match attr {
+                Attribute::Code(code) => self.code(code),
+                Attribute::Exceptions(list) => {
+                    self.count(list.len());
+                    for e in list {
+                        self.u2(e.0);
+                    }
+                }
+                Attribute::ConstantValue(i)
+                | Attribute::SourceFile(i)
+                | Attribute::Signature(i) => self.u2(i.0),
+                Attribute::InnerClasses(entries) => {
+                    self.count(entries.len());
+                    for e in entries {
+                        self.u2(e.inner_class.0);
+                        self.u2(e.outer_class.0);
+                        self.u2(e.inner_name.0);
+                        self.u2(e.inner_flags);
+                    }
+                }
+                Attribute::Synthetic | Attribute::Deprecated => {}
+                Attribute::Unknown { data, .. } => self.out.extend_from_slice(data),
+            }
+            self.end_len(len_at);
         }
     }
-}
 
-fn write_field(out: &mut Vec<u8>, field: &FieldInfo, cp: &mut ConstantPool) {
-    push_u2(out, field.access.bits());
-    push_u2(out, field.name.0);
-    push_u2(out, field.descriptor.0);
-    write_attributes(out, &field.attributes, cp);
-}
-
-fn write_method(out: &mut Vec<u8>, method: &MethodInfo, cp: &mut ConstantPool) {
-    push_u2(out, method.access.bits());
-    push_u2(out, method.name.0);
-    push_u2(out, method.descriptor.0);
-    write_attributes(out, &method.attributes, cp);
-}
-
-fn write_attributes(out: &mut Vec<u8>, attrs: &[Attribute], cp: &mut ConstantPool) {
-    push_u2(out, attrs.len() as u16);
-    for attr in attrs {
-        // Name first (the pre-payload interning order the pool layout is
-        // pinned to), then the payload straight into `out` behind a
-        // backpatched u4 length — no per-attribute buffer.
-        let name_idx = match attr {
-            Attribute::Code(_) => cp.utf8("Code"),
-            Attribute::Exceptions(_) => cp.utf8("Exceptions"),
-            Attribute::ConstantValue(_) => cp.utf8("ConstantValue"),
-            Attribute::SourceFile(_) => cp.utf8("SourceFile"),
-            Attribute::Signature(_) => cp.utf8("Signature"),
-            Attribute::InnerClasses(_) => cp.utf8("InnerClasses"),
-            Attribute::Synthetic => cp.utf8("Synthetic"),
-            Attribute::Deprecated => cp.utf8("Deprecated"),
-            Attribute::Unknown { name, .. } => *name,
-        };
-        push_u2(out, name_idx.0);
-        let len_at = out.len();
-        push_u4(out, 0);
-        match attr {
-            Attribute::Code(code) => write_code_attr(out, code, cp),
-            Attribute::Exceptions(list) => {
-                push_u2(out, list.len() as u16);
-                for e in list {
-                    push_u2(out, e.0);
-                }
-            }
-            Attribute::ConstantValue(i) | Attribute::SourceFile(i) | Attribute::Signature(i) => {
-                push_u2(out, i.0)
-            }
-            Attribute::InnerClasses(entries) => {
-                push_u2(out, entries.len() as u16);
-                for e in entries {
-                    push_u2(out, e.inner_class.0);
-                    push_u2(out, e.outer_class.0);
-                    push_u2(out, e.inner_name.0);
-                    push_u2(out, e.inner_flags);
-                }
-            }
-            Attribute::Synthetic | Attribute::Deprecated => {}
-            Attribute::Unknown { data, .. } => out.extend_from_slice(data),
+    fn code(&mut self, code: &CodeAttribute) {
+        self.u2(code.max_stack);
+        self.u2(code.max_locals);
+        // Bytecode is emitted in place too: each instruction's pc is its
+        // offset from the code array's start, backpatched like the lengths.
+        let len_at = self.begin_len();
+        let code_start = self.out.len();
+        for insn in &code.instructions {
+            let pc = (self.out.len() - code_start) as u32;
+            self.exact &= insn.encode_exact(pc, self.out);
         }
-        let n = (out.len() - len_at - 4) as u32;
-        out[len_at..len_at + 4].copy_from_slice(&n.to_be_bytes());
+        self.end_len(len_at);
+        self.count(code.exception_table.len());
+        for e in &code.exception_table {
+            self.u2(e.start_pc);
+            self.u2(e.end_pc);
+            self.u2(e.handler_pc);
+            self.u2(e.catch_type.0);
+        }
+        self.attributes(&code.attributes);
     }
-}
-
-fn write_code_attr(out: &mut Vec<u8>, code: &CodeAttribute, cp: &mut ConstantPool) {
-    push_u2(out, code.max_stack);
-    push_u2(out, code.max_locals);
-    // Bytecode is emitted in place too: each instruction's pc is its
-    // offset from the code array's start, backpatched like the lengths.
-    let len_at = out.len();
-    push_u4(out, 0);
-    let code_start = out.len();
-    for insn in &code.instructions {
-        insn.encode((out.len() - code_start) as u32, out);
-    }
-    let n = (out.len() - code_start) as u32;
-    out[len_at..len_at + 4].copy_from_slice(&n.to_be_bytes());
-    push_u2(out, code.exception_table.len() as u16);
-    for e in &code.exception_table {
-        push_u2(out, e.start_pc);
-        push_u2(out, e.end_pc);
-        push_u2(out, e.handler_pc);
-        push_u2(out, e.catch_type.0);
-    }
-    write_attributes(out, &code.attributes, cp);
 }
 
 fn push_u2(out: &mut Vec<u8>, v: u16) {

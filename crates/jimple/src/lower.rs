@@ -9,7 +9,7 @@ use std::collections::HashMap;
 
 use classfuzz_classfile::attributes::{Attribute, CodeAttribute, ExceptionTableEntry};
 use classfuzz_classfile::{
-    ClassFile, ConstIndex, ConstantPool, FieldInfo, Instruction, MethodInfo, Opcode,
+    ClassFile, ConstIndex, ConstantPool, Encoded, FieldInfo, Instruction, MethodInfo, Opcode,
 };
 
 use crate::class::{Body, IrClass, IrMethod};
@@ -71,6 +71,12 @@ impl LowerScratch {
     pub fn new() -> LowerScratch {
         LowerScratch::default()
     }
+
+    /// Takes back the constant pool of a class [`lower_class_encoded`]
+    /// returned, so the next lowering reuses its allocations.
+    pub fn recycle(&mut self, pool: ConstantPool) {
+        self.pool = pool;
+    }
 }
 
 /// Lowers a whole IR class to a classfile.
@@ -83,17 +89,30 @@ pub fn lower_class(class: &IrClass) -> ClassFile {
 /// the same lowering implementation (so the pools intern the same entries
 /// in the same order) and the same body emitter.
 pub fn lower_class_bytes(class: &IrClass, scratch: &mut LowerScratch) -> Vec<u8> {
-    scratch.pool.clear();
-    let pool = std::mem::take(&mut scratch.pool);
-    let mut cf = lower_class_with(class, pool, &mut scratch.descriptors);
-    let bytes = cf.to_bytes_scratch(&mut scratch.body_buf);
+    let encoded = lower_class_encoded(class, scratch);
     // Reclaim the pool's allocations for the next iteration.
-    scratch.pool = cf.constant_pool;
-    bytes
+    scratch.recycle(encoded.class.constant_pool);
+    encoded.bytes
 }
 
-/// The single lowering implementation behind both the cold and scratch
-/// entry points. `cp` must be empty; ownership keeps the scratch path from
+/// Lowers and serializes in one step like [`lower_class_bytes`], but hands
+/// back the lowered [`ClassFile`] with its bytes instead of dropping it:
+/// the bytes are identical, and [`Encoded::exact`] says whether decoding
+/// them would rebuild that same class. A caller that needs the decoded form
+/// (the traced reference run) can then use the class and skip the decode.
+///
+/// Reuses `scratch`'s descriptor memo and body buffer. The class takes the
+/// scratch's constant pool with it; hand the pool back with
+/// [`LowerScratch::recycle`] once the class is done with, or the next call
+/// interns into a fresh one.
+pub fn lower_class_encoded(class: &IrClass, scratch: &mut LowerScratch) -> Encoded {
+    scratch.pool.clear();
+    let pool = std::mem::take(&mut scratch.pool);
+    lower_class_with(class, pool, &mut scratch.descriptors).encode(&mut scratch.body_buf)
+}
+
+/// The single lowering implementation behind the cold and scratch entry
+/// points. `cp` must be empty; ownership keeps the scratch path from
 /// cloning it into the returned classfile.
 fn lower_class_with(
     class: &IrClass,
@@ -1118,6 +1137,28 @@ mod tests {
                 lower_class_bytes(class, &mut scratch),
                 lower_class(class).to_bytes()
             );
+        }
+    }
+
+    #[test]
+    fn encoded_lowering_keeps_the_class_its_bytes_decode_to() {
+        // The pool handed back each round is dirty with the previous
+        // class's entries; the bytes must still be the cold path's.
+        let mut scratch = LowerScratch::new();
+        for class in [
+            IrClass::with_hello_main("e/A", "Completed!"),
+            IrClass::new("e/Empty"),
+            IrClass::with_hello_main("e/B", "other text"),
+            IrClass::with_hello_main("e/A", "Completed!"),
+        ] {
+            let encoded = lower_class_encoded(&class, &mut scratch);
+            assert_eq!(encoded.bytes, lower_class(&class).to_bytes());
+            assert!(encoded.exact, "{}", class.name);
+            assert_eq!(
+                ClassFile::from_bytes(&encoded.bytes).as_ref(),
+                Ok(&encoded.class)
+            );
+            scratch.recycle(encoded.class.constant_pool);
         }
     }
 

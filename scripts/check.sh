@@ -36,6 +36,10 @@ step() {
 # Formatting first: cheapest check, fails fastest.
 step fmt cargo fmt --all --check
 step build cargo build --release --workspace
+# The repository benchmark (repobench/) is its own package and calls the
+# library crates' public entry points; building it here turns a change to
+# one of them into a CI failure rather than a failed benchmark run.
+step repobench cargo build --release --offline --manifest-path repobench/Cargo.toml
 step test cargo test -q --workspace
 # The adversarial-input suite on its own line so a containment regression
 # is visible as such, not buried in the workspace run.
