@@ -37,8 +37,8 @@ pub struct Scale {
     pub iterations: usize,
     /// Master RNG seed.
     pub rng_seed: u64,
-    /// Worker shards per campaign (1 = the sequential engine's behavior,
-    /// reproduced bit for bit by the parallel engine).
+    /// Shards per campaign (1 = `run_campaign`, the one-shard lockstep
+    /// run on the calling thread).
     pub jobs: usize,
 }
 

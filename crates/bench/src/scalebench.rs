@@ -8,9 +8,10 @@
 //!
 //! * throughput is campaign iterations per second of a fixed-seed
 //!   classfuzz`[stbr]` run, median over `repeats`;
-//! * the scaling ratio compares the async engine at `shards` worker
-//!   threads against itself at one — where cores exist it must clear the
-//!   gate's floor (default ≥1.5× at 2+ shards);
+//! * the scaling ratio compares the async engine at `shards` shards
+//!   against itself at one (which runs on the calling thread, spawning
+//!   nothing) — where cores exist it must clear the gate's floor (default
+//!   ≥1.5× at 2+ shards);
 //! * on a single-core machine (the CI container reports
 //!   `available_parallelism() == 1`) no speedup is observable, so the
 //!   gate instead asserts no-regression: one async shard must stay within

@@ -1,19 +1,28 @@
 //! The fuzzing campaigns: classfuzz (Algorithm 1) and the three comparison
 //! algorithms of §3.1.2 — uniquefuzz, greedyfuzz, randfuzz.
 //!
-//! Campaigns run either sequentially ([`run_campaign`]) or sharded across
-//! worker threads ([`run_campaign_parallel`]). The parallel engine is
-//! lockstep-deterministic: a one-shard run replays the sequential campaign
-//! bit for bit, and any shard count yields the same result for the same
-//! `(config, num_shards)` pair — see DESIGN.md, "Parallel campaign
-//! architecture".
+//! Every campaign is built from two pieces. A `ShardState` per shard (pool
+//! replica, RNG, selector, reference VM, scratch buffers) produces one
+//! candidate per iteration; one `CampaignSink` consumes the candidates
+//! (crash records, GenClasses/TestClasses, the exec-diff observer,
+//! per-shard stats). Two schedulers drive them:
 //!
-//! Both engines are fault-contained (see DESIGN.md, "Fault containment"):
-//! a panicking mutator becomes a recorded [`CrashRecord`] and the iteration
+//! * **lockstep** (the default): rounds with a coordinator barrier. The
+//!   coordinator hosts shard 0 itself and spawns threads only for shards
+//!   `1..n`, so [`run_campaign`] is the one-shard lockstep run — no
+//!   thread, no channel. Any shard count yields the same result for the
+//!   same `(config, num_shards)` pair — see DESIGN.md, "Parallel campaign
+//!   architecture".
+//! * **async** ([`Schedule::Async`]): free-running shards over shared
+//!   acceptance state, feeding the same sink; the calling thread hosts
+//!   shard 0 here too — see DESIGN.md §14.
+//!
+//! Both are fault-contained (see DESIGN.md, "Fault containment"): a
+//! panicking mutator becomes a recorded [`CrashRecord`] and the iteration
 //! is skipped; a panicking VM run surfaces as a crash verdict on the
-//! candidate (the VM layer contains its own panics); and a worker shard
-//! dying outside those contained regions ends the campaign with a
-//! diagnosable [`EngineError`] instead of a harness abort.
+//! candidate (the VM layer contains its own panics); and a shard dying
+//! outside those contained regions ends the campaign with a diagnosable
+//! [`EngineError`] instead of a harness abort.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -45,14 +54,14 @@ mod async_mode;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Schedule {
     /// Lockstep rounds with a coordinator barrier: deterministic for a
-    /// fixed `(config, num_shards)`, bit-identical to the sequential
-    /// engine at one shard. The replay/CI oracle.
+    /// fixed `(config, num_shards)`; at one shard it *is* [`run_campaign`].
+    /// The replay/CI oracle.
     #[default]
     Lockstep,
     /// Free-running shards over shared atomic acceptance state: no round
     /// barrier, so throughput scales with cores, but multi-shard runs are
     /// nondeterministic (acceptance order depends on thread interleaving).
-    /// A one-shard async run still replays the sequential campaign — see
+    /// A one-shard async run still replays [`run_campaign`] — see
     /// DESIGN.md, "Free-running async campaign scheduler".
     Async,
 }
@@ -165,13 +174,13 @@ pub struct CampaignConfig {
     pub exec_diff: bool,
     /// Scheduling discipline for [`run_campaign_parallel`]: deterministic
     /// lockstep rounds (the default) or the free-running async engine.
-    /// Ignored by the sequential [`run_campaign`].
+    /// [`run_campaign`] is always the one-shard lockstep run.
     pub schedule: Schedule,
-    /// Fault-injection self-test hook for the async engine: the named
-    /// shard panics *outside* the per-iteration containment right after
-    /// its setup, exercising the ShardDied last-gasp protocol without a
-    /// mutator in the loop. Ignored by the lockstep engine (which has its
-    /// own coverage via channel-teardown tests).
+    /// Fault-injection self-test hook: the named shard panics *outside*
+    /// the per-iteration containment right after its setup, exercising the
+    /// ShardDied last-gasp protocol without a mutator in the loop. Applies
+    /// to both schedulers, including the lockstep shard 0 the coordinator
+    /// hosts.
     pub inject_shard_death: Option<usize>,
     /// How the initial pool is chosen from the seeds (`--seed-select`).
     pub seed_select: SeedSelect,
@@ -207,7 +216,7 @@ impl CampaignConfig {
         self
     }
 
-    /// Make the named shard die outside containment (async self-test).
+    /// Make the named shard die outside containment (self-test).
     pub fn with_shard_death_injection(mut self, shard_id: usize) -> CampaignConfig {
         self.inject_shard_death = Some(shard_id);
         self
@@ -391,8 +400,8 @@ fn prepare_seed_pool(
 
 /// Per-shard contribution to a campaign, reported in [`CampaignResult`].
 ///
-/// A sequential campaign is a single shard 0; a parallel campaign has one
-/// entry per worker shard.
+/// [`run_campaign`] reports a single shard 0; a parallel campaign has one
+/// entry per shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardStats {
     /// The shard's id (also its position in `CampaignResult::shard_stats`).
@@ -433,7 +442,7 @@ impl CrashSite {
 /// are bugs too" signal, applied to our own harness.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CrashRecord {
-    /// The shard that hit the fault (0 for sequential campaigns).
+    /// The shard that hit the fault (0 for [`run_campaign`]).
     pub shard_id: usize,
     /// Which pipeline stage panicked.
     pub site: CrashSite,
@@ -454,7 +463,8 @@ pub struct CrashRecord {
 pub struct EngineError {
     /// The failing shard, when attributable.
     pub shard_id: Option<usize>,
-    /// The lockstep round in which the failure surfaced.
+    /// The failing shard's completed-iteration count when the failure
+    /// surfaced — under lockstep, the round it surfaced in.
     pub round: usize,
     /// Bytes of the last classfile the failing shard generated, if any —
     /// the prime suspect for reproducing the fault.
@@ -526,10 +536,10 @@ pub struct CampaignResult {
     pub elapsed: Duration,
     /// Number of seeds the campaign started from.
     pub seed_count: usize,
-    /// Per-shard breakdown (one entry for sequential campaigns).
+    /// Per-shard breakdown (one entry for [`run_campaign`]).
     pub shard_stats: Vec<ShardStats>,
-    /// Contained faults, in verdict order (sequential: iteration order;
-    /// parallel: round-major, shard-minor — identical at one shard).
+    /// Contained faults, in verdict order (lockstep: round-major,
+    /// shard-minor; async: arrival order).
     pub crashes: Vec<CrashRecord>,
     /// Acceptance hot-path telemetry (offers, acceptances, `[tr]`
     /// fingerprint fast-path rate). All-zero for randfuzz and greedyfuzz,
@@ -643,15 +653,6 @@ fn campaign_mutators(config: &CampaignConfig) -> Vec<Mutator> {
     mutators
 }
 
-/// Appends a crash record, persisting it to the crash corpus first (the
-/// record's position doubles as its corpus index).
-fn record_crash(crashes: &mut Vec<CrashRecord>, crash_dir: Option<&Path>, record: CrashRecord) {
-    if let Some(dir) = crash_dir {
-        persist_crash(dir, crashes.len(), &record);
-    }
-    crashes.push(record);
-}
-
 /// Best-effort crash-corpus write: `crash_NNNN_<site>.class` holds the
 /// offending bytes, the matching `.txt` the panic description. Failures go
 /// to stderr — losing a corpus entry must never lose the campaign.
@@ -709,22 +710,12 @@ fn make_acceptance(algorithm: Algorithm) -> Acceptance {
 }
 
 /// The campaign's acceptance-path telemetry, read back from the index
-/// counters at the end of a run, with the execution-differencing tallies
-/// folded in.
-fn acceptance_telemetry(
-    acceptance: &Acceptance,
-    exec_reports: &[ExecReport],
-) -> AcceptanceTelemetry {
-    let mut telemetry = match acceptance {
+/// counters at the end of a run.
+fn acceptance_telemetry(acceptance: &Acceptance) -> AcceptanceTelemetry {
+    match acceptance {
         Acceptance::Unique(index) => AcceptanceTelemetry::from(index.counters()),
         Acceptance::Greedy(_) | Acceptance::All => AcceptanceTelemetry::default(),
-    };
-    telemetry.exec_runs = exec_reports.len() as u64;
-    telemetry.exec_discrepancies = exec_reports
-        .iter()
-        .filter(|r| r.is_exec_discrepancy())
-        .count() as u64;
-    telemetry
+    }
 }
 
 /// Differences one accepted candidate's execution verdicts across the five
@@ -769,10 +760,12 @@ fn seed_acceptance(acceptance: &mut Acceptance, seed_pool: &[PoolEntry]) {
 }
 
 /// One iteration's shard-local product: a lowered mutant plus (when the
-/// algorithm consults coverage) its reference-VM trace.
+/// algorithm consults coverage) its reference-VM trace. The class and its
+/// bytes are `Arc`-wrapped once, here, and shared from then on by
+/// `GenClasses`, the pool and the async scheduler's publish step.
 struct Candidate {
-    class: IrClass,
-    bytes: Vec<u8>,
+    class: Arc<IrClass>,
+    bytes: Arc<Vec<u8>>,
     mutator_id: usize,
     trace: Option<TraceFile>,
     /// `trace.fingerprint()`, computed shard-side so the coordinator's
@@ -783,9 +776,11 @@ struct Candidate {
     vm_crash: Option<String>,
 }
 
-/// What one iteration's shard-local half produced.
+/// What one iteration's shard-local half produced — the one message a
+/// shard hands the campaign sink, under either scheduler.
 enum Produced {
-    /// A lowered mutant, ready for the acceptance decision.
+    /// A lowered mutant, ready for the acceptance decision. Boxed: a
+    /// candidate is hundreds of bytes, the other variants a few words.
     Candidate(Box<Candidate>),
     /// The mutation was not applicable; the iteration is consumed but no
     /// classfile is generated (§3.2's "classfiles are not generated during
@@ -798,73 +793,175 @@ enum Produced {
         input_bytes: Vec<u8>,
         detail: String,
     },
+    /// The shard itself died outside the contained regions — a last gasp,
+    /// so the campaign ends with a diagnosable [`EngineError`] instead of
+    /// waiting on a report that never comes.
+    ShardDied(String),
 }
 
-/// Runs the shard-local half of one iteration: pool pick, mutator
-/// selection, mutation (panic-contained), `main` supplement, lowering, and
-/// (for the coverage-guided algorithms) the traced reference run — itself
-/// panic-contained inside the VM layer, so a crashing candidate comes back
-/// with a crash verdict rather than unwinding.
-///
-/// The RNG call order here (pool pick, selection, mutation) is the
-/// sequential engine's contract; both engines go through this one function
-/// so a one-shard parallel run replays the sequential stream exactly. A
-/// panicking mutator consumes exactly the RNG draws it made before dying —
-/// deterministic, because the panic point is a function of the inputs.
-// Takes the shard's whole working set (pool, RNG, selector, two scratch
-// buffers) by design: bundling them into a struct would just move the
-// argument list behind a constructor.
-#[allow(clippy::too_many_arguments)]
-fn next_candidate(
-    pool: &[PoolEntry],
-    seeds: &[IrClass],
-    mutators: &[Mutator],
-    selector: &mut Selector,
-    rng: &mut StdRng,
-    reference: Option<&Jvm>,
-    scratch: &mut TraceFile,
-    lower: &mut LowerScratch,
-) -> Produced {
-    let pick = rng.gen_range(0..pool.len());
-    let mutator_id = selector.select(rng);
-    // Copy-on-write: members stay shared with the pool entry until the
-    // mutator writes one, so this clone is a refcount bump per member.
-    let mut mutant = IrClass::clone(&pool[pick].class);
-    let applied = run_contained(|| {
-        let mut ctx = MutationCtx::new(rng, seeds);
-        mutators[mutator_id].apply(&mut mutant, &mut ctx)
-    });
-    match applied {
-        Err(detail) => {
-            // The reproducer is the mutation *input*, whose lowered bytes
-            // the pool already caches — no re-lowering on the crash path.
-            return Produced::MutatorCrash {
-                mutator_id,
-                input_bytes: pool[pick].bytes.as_ref().clone(),
-                detail,
-            };
+/// One shard's working set: its pool replica, RNG, selector,
+/// reference VM, trace and lowering scratch, and distillation counters.
+/// [`ShardState::step`] is the shard-local half of one iteration;
+/// [`ShardState::absorb`] takes a lockstep round's verdict back in.
+struct ShardState<'a> {
+    seeds: &'a [IrClass],
+    mutators: Vec<Mutator>,
+    /// Seeds plus accepted mutants, minus distilled evictions. Starts as a
+    /// handle on the shared seed pool; lockstep replicas copy it on their
+    /// first append, async shards swap in each published snapshot.
+    pool: Arc<Vec<PoolEntry>>,
+    rng: StdRng,
+    selector: Selector,
+    /// The traced reference VM; `None` for randfuzz, which never
+    /// consults coverage.
+    reference: Option<Jvm>,
+    /// Reusable trace and lowering buffers: one allocation each for the
+    /// whole campaign, cleared before each use.
+    scratch: TraceFile,
+    lower: LowerScratch,
+    distill: DistillCounters,
+    pool_cap: Option<usize>,
+    /// This shard's iteration budget and how many of its iterations have
+    /// been absorbed — the inputs of the distillation boundary rule.
+    budget: usize,
+    completed: usize,
+    /// The mutator behind the last `step`'s candidate, credited when the
+    /// round's verdict accepts it.
+    last_mutator: Option<usize>,
+}
+
+impl<'a> ShardState<'a> {
+    /// Sets up shard `shard_id` over `pool`. Honours
+    /// [`CampaignConfig::inject_shard_death`] by panicking right after the
+    /// setup, so the caller's containment must be in place.
+    fn new(
+        config: &CampaignConfig,
+        seeds: &'a [IrClass],
+        shard_id: usize,
+        budget: usize,
+        pool: Arc<Vec<PoolEntry>>,
+    ) -> ShardState<'a> {
+        let mutators = campaign_mutators(config);
+        let selector = make_selector(config, mutators.len());
+        let shard = ShardState {
+            seeds,
+            mutators,
+            pool,
+            rng: StdRng::seed_from_u64(shard_rng_seed(config.rng_seed, shard_id)),
+            selector,
+            reference: needs_trace(config.algorithm).then(|| Jvm::new(VmSpec::hotspot9())),
+            scratch: TraceFile::new(),
+            lower: LowerScratch::new(),
+            distill: DistillCounters::default(),
+            pool_cap: config.pool_cap,
+            budget,
+            completed: 0,
+            last_mutator: None,
+        };
+        if config.inject_shard_death == Some(shard_id) {
+            panic!("injected shard death (containment self-test)");
         }
-        Ok(Err(_)) => return Produced::NotApplicable,
-        Ok(Ok(())) => {}
+        shard
     }
-    // §2.2.1: supplement each mutant with a message-printing main.
-    mutant.ensure_main("Completed!");
-    let (bytes, traced) = lower_traced(&mutant, reference, scratch, lower);
-    // The traced run recorded into the reusable scratch bitmap — no
-    // per-iteration trace allocation. The candidate ships a trimmed
-    // snapshot plus its precomputed fingerprint.
-    let (trace, trace_fp, vm_crash) = match traced {
-        Some(crash) => (Some(scratch.snapshot()), Some(scratch.fingerprint()), crash),
-        None => (None, None, None),
-    };
-    Produced::Candidate(Box::new(Candidate {
-        class: mutant,
-        bytes,
-        mutator_id,
-        trace,
-        trace_fp,
-        vm_crash,
-    }))
+
+    /// Runs the shard-local half of one iteration: pool pick, mutator
+    /// selection, mutation (panic-contained), `main` supplement, lowering,
+    /// and (for the coverage-guided algorithms) the traced reference run —
+    /// itself panic-contained inside the VM layer, so a crashing candidate
+    /// comes back with a crash verdict rather than unwinding.
+    ///
+    /// The RNG call order here (pool pick, selection, mutation) is the
+    /// campaign's replay contract, shared by both schedulers. A panicking
+    /// mutator consumes exactly the RNG draws it made before dying —
+    /// deterministic, because the panic point is a function of the inputs.
+    fn step(&mut self) -> Produced {
+        self.last_mutator = None;
+        let pick = self.rng.gen_range(0..self.pool.len());
+        let mutator_id = self.selector.select(&mut self.rng);
+        let entry = &self.pool[pick];
+        // Copy-on-write: members stay shared with the pool entry until the
+        // mutator writes one, so this clone is a refcount bump per member.
+        let mut mutant = IrClass::clone(&entry.class);
+        let (rng, seeds, mutator) = (&mut self.rng, self.seeds, &self.mutators[mutator_id]);
+        let applied =
+            run_contained(|| mutator.apply(&mut mutant, &mut MutationCtx::new(rng, seeds)));
+        match applied {
+            Err(detail) => {
+                // The reproducer is the mutation *input*, whose lowered
+                // bytes the pool already caches — no re-lowering here.
+                return Produced::MutatorCrash {
+                    mutator_id,
+                    input_bytes: entry.bytes.as_ref().clone(),
+                    detail,
+                };
+            }
+            Ok(Err(_)) => return Produced::NotApplicable,
+            Ok(Ok(())) => {}
+        }
+        // §2.2.1: supplement each mutant with a message-printing main.
+        mutant.ensure_main("Completed!");
+        let (bytes, traced) = lower_traced(
+            &mutant,
+            self.reference.as_ref(),
+            &mut self.scratch,
+            &mut self.lower,
+        );
+        // The traced run recorded into the reusable scratch bitmap — no
+        // per-iteration trace allocation. The candidate ships a trimmed
+        // snapshot plus its precomputed fingerprint.
+        let (trace, trace_fp, vm_crash) = match traced {
+            Some(crash) => (
+                Some(self.scratch.snapshot()),
+                Some(self.scratch.fingerprint()),
+                crash,
+            ),
+            None => (None, None, None),
+        };
+        self.last_mutator = Some(mutator_id);
+        Produced::Candidate(Box::new(Candidate {
+            class: Arc::new(mutant),
+            bytes: Arc::new(bytes),
+            mutator_id,
+            trace,
+            trace_fp,
+            vm_crash,
+        }))
+    }
+
+    /// Takes a lockstep round's verdict back in: credits the selector when
+    /// this shard's candidate was accepted, appends the round's accepted
+    /// classes (in shard-id order, so every replica stays identical), and
+    /// distills at the boundaries [`distill_due`] names.
+    fn absorb(&mut self, accepted_own: bool, additions: impl IntoIterator<Item = PoolEntry>) {
+        if let (true, Some(id)) = (accepted_own, self.last_mutator) {
+            self.selector.record_success(id);
+        }
+        let pool = Arc::make_mut(&mut self.pool);
+        pool.extend(additions);
+        self.completed += 1;
+        if let Some(cap) = self.pool_cap {
+            if distill_due(self.completed, self.budget) {
+                self.distill.run(pool, cap);
+            }
+        }
+    }
+}
+
+/// The distillation boundary rule, the same for every scheduler: a capped
+/// pool is distilled after every `DISTILL_INTERVAL`-th completed iteration,
+/// skipping the no-op pass after the last one.
+fn distill_due(completed: usize, budget: usize) -> bool {
+    completed.is_multiple_of(DISTILL_INTERVAL) && completed < budget
+}
+
+/// The iterations a campaign can run: its budget, or none at all when the
+/// pool is empty (no seeds means nothing to mutate).
+fn campaign_budget(config: &CampaignConfig, seed_pool: &[PoolEntry]) -> usize {
+    if seed_pool.is_empty() {
+        0
+    } else {
+        config.iterations
+    }
 }
 
 /// Lowers `class` through the shard's scratch and, when `reference` is
@@ -898,7 +995,7 @@ fn lower_traced(
     (bytes, Some(crash))
 }
 
-/// The acceptance decision (coordinator-side in a parallel run): does this
+/// The acceptance decision (coordinator-side under lockstep): does this
 /// candidate enter `TestClasses`? Uses the candidate's shard-computed
 /// fingerprint so the `[tr]` probe is a single hash lookup here.
 fn decide(acceptance: &mut Acceptance, trace: Option<&TraceFile>, trace_fp: Option<u64>) -> bool {
@@ -918,139 +1015,221 @@ fn needs_trace(algorithm: Algorithm) -> bool {
     !matches!(algorithm, Algorithm::Randfuzz)
 }
 
-/// Runs one campaign over `seeds` — Algorithm 1 for classfuzz, the
-/// §3.1.2 variants otherwise.
-///
-/// Deterministic for a fixed `CampaignConfig` (wall-clock fields aside).
-pub fn run_campaign(seeds: &[IrClass], config: &CampaignConfig) -> CampaignResult {
-    let start = Instant::now();
-    let mutators: Vec<Mutator> = campaign_mutators(config);
-    let mut rng = StdRng::seed_from_u64(config.rng_seed);
-    let reference = Jvm::new(VmSpec::hotspot9());
+/// The consume half of every campaign: takes each shard's [`Produced`]
+/// with its acceptance verdict, in the scheduler's verdict order, and
+/// keeps everything the [`CampaignResult`] reports — crash records (and
+/// their corpus files), `GenClasses`/`TestClasses`, the exec-diff
+/// observer's reports, per-shard stats — plus the first [`EngineError`].
+struct CampaignSink<'a> {
+    config: &'a CampaignConfig,
+    seed_count: usize,
+    start: Instant,
+    /// Execution differencing runs here, in acceptance order — identical
+    /// for every lockstep shard count's replay, arrival order under async.
+    exec_harness: Option<DifferentialHarness>,
+    gen_classes: Vec<GeneratedClass>,
+    test_classes: Vec<usize>,
+    crashes: Vec<CrashRecord>,
+    exec_reports: Vec<ExecReport>,
+    shard_stats: Vec<ShardStats>,
+    /// Per-shard last generated classfile — attached to an EngineError as
+    /// the prime suspect when that shard dies. `Arc` handles: recording the
+    /// suspect costs a refcount bump per candidate, not a byte copy.
+    last_bytes: Vec<Option<Arc<Vec<u8>>>>,
+    error: Option<EngineError>,
+}
 
-    let mut selector = make_selector(config, mutators.len());
-    let mut acceptance = make_acceptance(config.algorithm);
-    // The reusable trace buffer: every traced run of this campaign records
-    // into the same word arrays. The lowering scratch plays the same role
-    // for the generate half of the loop.
-    let mut scratch = TraceFile::new();
-    let mut lower = LowerScratch::new();
-    // The mutation pool: selected seeds plus accepted mutants (line 14),
-    // each with its lowered bytes cached alongside.
-    let pool_seeds = prepare_seed_pool(seeds, config, &reference, &mut scratch);
-    seed_acceptance(&mut acceptance, &pool_seeds);
-    let tracing = needs_trace(config.algorithm).then_some(&reference);
-    let crash_dir = config.crash_dir.as_deref();
-    let exec_harness = config.exec_diff.then(DifferentialHarness::paper_five);
-
-    let mut pool: Vec<PoolEntry> = pool_seeds;
-    let mut gen_classes: Vec<GeneratedClass> = Vec::new();
-    let mut test_classes: Vec<usize> = Vec::new();
-    let mut crashes: Vec<CrashRecord> = Vec::new();
-    let mut exec_reports: Vec<ExecReport> = Vec::new();
-    let mut executed = 0usize;
-    let mut distill = DistillCounters::default();
-
-    for _ in 0..config.iterations {
-        if pool.is_empty() {
-            break;
+impl<'a> CampaignSink<'a> {
+    fn new(
+        config: &'a CampaignConfig,
+        seed_count: usize,
+        num_shards: usize,
+        start: Instant,
+    ) -> CampaignSink<'a> {
+        CampaignSink {
+            config,
+            seed_count,
+            start,
+            exec_harness: config.exec_diff.then(DifferentialHarness::paper_five),
+            gen_classes: Vec::new(),
+            test_classes: Vec::new(),
+            crashes: Vec::new(),
+            exec_reports: Vec::new(),
+            shard_stats: (0..num_shards)
+                .map(|shard_id| ShardStats {
+                    shard_id,
+                    iterations: 0,
+                    generated: 0,
+                    accepted: 0,
+                })
+                .collect(),
+            last_bytes: vec![None; num_shards],
+            error: None,
         }
-        // Boundary distillation runs *between* iterations — after every
-        // DISTILL_INTERVAL-th executed iteration, before the next pick —
-        // the same points the parallel engines' replicas distill at.
-        if let Some(cap) = config.pool_cap {
-            if executed > 0 && executed.is_multiple_of(DISTILL_INTERVAL) {
-                distill.run(&mut pool, cap);
+    }
+
+    /// Consumes one iteration of shard `shard_id`. Returns the pool entry
+    /// of an accepted candidate (class, bytes and trace as `Arc` handles).
+    fn record(&mut self, shard_id: usize, produced: Produced, accepted: bool) -> Option<PoolEntry> {
+        let cand = match produced {
+            Produced::Candidate(cand) => *cand,
+            Produced::NotApplicable => {
+                self.shard_stats[shard_id].iterations += 1;
+                return None;
             }
-        }
-        executed += 1;
-        let cand = match next_candidate(
-            &pool,
-            seeds,
-            &mutators,
-            &mut selector,
-            &mut rng,
-            tracing,
-            &mut scratch,
-            &mut lower,
-        ) {
-            Produced::NotApplicable => continue,
             Produced::MutatorCrash {
                 mutator_id,
                 input_bytes,
                 detail,
             } => {
-                record_crash(
-                    &mut crashes,
-                    crash_dir,
-                    CrashRecord {
-                        shard_id: 0,
-                        site: CrashSite::Mutator { mutator_id },
-                        bytes: input_bytes,
-                        detail,
-                    },
+                self.shard_stats[shard_id].iterations += 1;
+                self.record_crash(
+                    shard_id,
+                    CrashSite::Mutator { mutator_id },
+                    input_bytes,
+                    detail,
                 );
-                continue;
+                return None;
             }
-            Produced::Candidate(cand) => *cand,
+            Produced::ShardDied(detail) => {
+                let message = format!("worker shard died outside containment: {detail}");
+                self.fail_shard(shard_id, message);
+                return None;
+            }
         };
-        if let Some(detail) = &cand.vm_crash {
-            record_crash(
-                &mut crashes,
-                crash_dir,
-                CrashRecord {
-                    shard_id: 0,
-                    site: CrashSite::ReferenceVm,
-                    bytes: cand.bytes.clone(),
-                    detail: detail.clone(),
-                },
-            );
+        if let Some(detail) = cand.vm_crash {
+            let bytes = cand.bytes.as_ref().clone();
+            self.record_crash(shard_id, CrashSite::ReferenceVm, bytes, detail);
         }
-        let accepted = decide(&mut acceptance, cand.trace.as_ref(), cand.trace_fp);
-        let gen_index = gen_classes.len();
-        let class = Arc::new(cand.class);
-        let bytes = Arc::new(cand.bytes);
-        gen_classes.push(GeneratedClass {
-            class: Arc::clone(&class),
-            bytes: Arc::clone(&bytes),
+        let stats = &mut self.shard_stats[shard_id];
+        stats.iterations += 1;
+        stats.generated += 1;
+        stats.accepted += usize::from(accepted);
+        let gen_index = self.gen_classes.len();
+        self.last_bytes[shard_id] = Some(Arc::clone(&cand.bytes));
+        self.gen_classes.push(GeneratedClass {
+            class: Arc::clone(&cand.class),
+            bytes: Arc::clone(&cand.bytes),
             mutator_id: cand.mutator_id,
             accepted,
         });
-        if accepted {
-            test_classes.push(gen_index);
-            if let Some(harness) = &exec_harness {
-                exec_reports.push(diff_execution(harness, gen_index, &bytes));
-            }
-            pool.push(PoolEntry {
-                class,
-                bytes,
-                trace: cand.trace.map(Arc::new),
-            });
-            selector.record_success(cand.mutator_id);
+        if !accepted {
+            return None;
         }
+        self.test_classes.push(gen_index);
+        if let Some(harness) = &self.exec_harness {
+            self.exec_reports
+                .push(diff_execution(harness, gen_index, &cand.bytes));
+        }
+        Some(PoolEntry {
+            class: cand.class,
+            bytes: cand.bytes,
+            trace: cand.trace.map(Arc::new),
+        })
     }
 
-    let shard_stats = vec![ShardStats {
-        shard_id: 0,
-        iterations: executed,
-        generated: gen_classes.len(),
-        accepted: test_classes.len(),
-    }];
-    let mut acceptance = acceptance_telemetry(&acceptance, &exec_reports);
-    acceptance.distill_passes = distill.passes;
-    acceptance.distill_evicted = distill.evicted;
-    CampaignResult {
-        algorithm: config.algorithm,
-        iterations: config.iterations,
-        gen_classes,
-        test_classes,
-        mutator_stats: selector.stats(),
-        elapsed: start.elapsed(),
-        seed_count: seeds.len(),
-        shard_stats,
-        crashes,
-        acceptance,
-        exec_reports,
+    /// Appends a crash record, persisting it to the crash corpus first (the
+    /// record's position doubles as its corpus index).
+    fn record_crash(&mut self, shard_id: usize, site: CrashSite, bytes: Vec<u8>, detail: String) {
+        let record = CrashRecord {
+            shard_id,
+            site,
+            bytes,
+            detail,
+        };
+        if let Some(dir) = &self.config.crash_dir {
+            persist_crash(dir, self.crashes.len(), &record);
+        }
+        self.crashes.push(record);
+    }
+
+    /// Keeps `error` unless an earlier failure already ended the campaign.
+    fn fail(&mut self, error: EngineError) {
+        self.error.get_or_insert(error);
+    }
+
+    /// Fails the campaign on shard `shard_id`, naming its completed
+    /// iteration count (under lockstep, the round it failed in) and its
+    /// last generated classfile.
+    fn fail_shard(&mut self, shard_id: usize, message: String) {
+        let error = EngineError {
+            shard_id: Some(shard_id),
+            round: self.shard_stats[shard_id].iterations,
+            last_candidate: self.last_bytes[shard_id].take().map(|b| b.as_ref().clone()),
+            message,
+        };
+        self.fail(error);
+    }
+
+    fn failed(&self) -> bool {
+        self.error.is_some()
+    }
+
+    /// A joined worker shard's stats table; a shard that panicked past its
+    /// last-gasp containment fails the campaign and contributes nothing.
+    fn join(
+        &mut self,
+        shard_id: usize,
+        joined: thread::Result<Vec<MutatorStats>>,
+    ) -> Vec<MutatorStats> {
+        joined.unwrap_or_else(|_| {
+            self.fail_shard(
+                shard_id,
+                "worker shard panicked past its containment".to_string(),
+            );
+            Vec::new()
+        })
+    }
+
+    /// The campaign's result — or its first error. `telemetry` is the
+    /// scheduler's acceptance and distillation telemetry; the
+    /// execution-differencing tallies are folded in here.
+    fn finish(
+        self,
+        mut telemetry: AcceptanceTelemetry,
+        stat_tables: &[Vec<MutatorStats>],
+    ) -> Result<CampaignResult, EngineError> {
+        if let Some(error) = self.error {
+            return Err(error);
+        }
+        telemetry.exec_runs = self.exec_reports.len() as u64;
+        telemetry.exec_discrepancies = self
+            .exec_reports
+            .iter()
+            .filter(|r| r.is_exec_discrepancy())
+            .count() as u64;
+        Ok(CampaignResult {
+            algorithm: self.config.algorithm,
+            iterations: self.config.iterations,
+            gen_classes: self.gen_classes,
+            test_classes: self.test_classes,
+            mutator_stats: merge_stat_tables(stat_tables),
+            elapsed: self.start.elapsed(),
+            seed_count: self.seed_count,
+            shard_stats: self.shard_stats,
+            crashes: self.crashes,
+            acceptance: telemetry,
+            exec_reports: self.exec_reports,
+        })
+    }
+}
+
+/// Runs one campaign over `seeds` — Algorithm 1 for classfuzz, the
+/// §3.1.2 variants otherwise. This is the one-shard lockstep run of
+/// [`run_campaign_parallel`]: the calling thread is the only shard, with
+/// no worker thread and no channel.
+///
+/// Deterministic for a fixed `CampaignConfig` (wall-clock fields aside).
+///
+/// # Panics
+///
+/// With the [`EngineError`] message when the shard dies outside the
+/// contained regions (only the [`CampaignConfig::inject_shard_death`]
+/// self-test can make it).
+pub fn run_campaign(seeds: &[IrClass], config: &CampaignConfig) -> CampaignResult {
+    match run_lockstep(seeds, config, 1) {
+        Ok(result) => result,
+        Err(error) => panic!("{error}"),
     }
 }
 
@@ -1064,54 +1243,56 @@ pub fn shard_rng_seed(rng_seed: u64, shard_id: usize) -> u64 {
     rng_seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(shard_id as u64))
 }
 
-/// What a shard hands the coordinator each round.
-enum Work {
-    /// A lowered mutant (with its reference trace when collected). Boxed:
-    /// a candidate is hundreds of bytes, `NoCandidate` is zero.
-    Generated(Box<Candidate>),
-    /// The mutation was not applicable; the iteration is still consumed.
-    NoCandidate,
-    /// The mutator panicked (contained); the iteration is still consumed
-    /// and the coordinator records the crash.
-    MutatorCrash {
-        mutator_id: usize,
-        input_bytes: Vec<u8>,
-        detail: String,
-    },
-    /// The shard's loop itself died outside the contained regions — sent
-    /// as a last gasp so the coordinator can abort with a diagnosable
-    /// [`EngineError`] instead of deadlocking on a report that never comes.
-    ShardDied(String),
-}
-
+/// One shard's iteration as the lockstep coordinator or the async
+/// collector receives it.
 struct Report {
     shard_id: usize,
-    work: Work,
+    produced: Produced,
+    /// The shard-side verdict under the async scheduler; lockstep shards
+    /// send `false` and leave the decision to the coordinator.
+    accepted: bool,
 }
 
-/// What a lockstep shard hands back when its loop finishes: the selector's
-/// stats table plus the replica's distillation telemetry. Replicas distill
-/// identically, so the coordinator reports shard 0's counters (the shard
-/// with the full round count — the one a sequential run mirrors).
-#[derive(Default)]
-struct ShardOutcome {
-    stats: Vec<MutatorStats>,
-    distill: DistillCounters,
+/// Runs a worker thread's whole shard loop under the shard's last line of
+/// containment. Mutation and VM startup contain their own panics; anything
+/// else that escapes `body` becomes a `ShardDied` last gasp, so the
+/// campaign ends diagnosably instead of in a scope abort that loses its
+/// progress. A dead shard contributes an empty stats table.
+fn contain_shard(
+    shard_id: usize,
+    reports: &mpsc::Sender<Report>,
+    body: impl FnOnce() -> Vec<MutatorStats>,
+) -> Vec<MutatorStats> {
+    run_contained(body).unwrap_or_else(|detail| {
+        let _ = reports.send(Report {
+            shard_id,
+            produced: Produced::ShardDied(detail),
+            accepted: false,
+        });
+        Vec::new()
+    })
 }
 
-/// The coordinator's per-round verdict, broadcast to every active shard.
+/// The coordinator's per-round verdict, sent to every active worker shard.
 struct RoundReply {
     /// Did *this* shard's candidate enter `TestClasses`? (Drives the
     /// shard-local selector's success bookkeeping.)
     accepted_own: bool,
     /// Every class accepted this round, in shard-id order — each shard
     /// appends these to its pool replica, keeping all pools identical.
-    /// Entries are `Arc` handles: broadcasting to N shards bumps
+    /// Entries are `Arc` handles: sending them to N shards bumps
     /// refcounts, it does not copy classes or bytes.
     additions: Vec<PoolEntry>,
 }
 
-/// Runs one campaign sharded across `num_shards` worker threads.
+/// The coordinator's ends of the channels to worker shards `1..`.
+struct Peers {
+    reports: mpsc::Receiver<Report>,
+    /// `replies[i]` reaches shard `i + 1`.
+    replies: Vec<mpsc::Sender<RoundReply>>,
+}
+
+/// Runs one campaign sharded across `num_shards` shards.
 ///
 /// When [`CampaignConfig::schedule`] is [`Schedule::Async`] this dispatches
 /// to the free-running engine (see [`Schedule`] and DESIGN.md §14);
@@ -1120,13 +1301,14 @@ struct RoundReply {
 /// Each shard owns its own RNG (seeded by [`shard_rng_seed`]), its own
 /// reference [`Jvm`], selector, and mutation-pool replica; the coordinator
 /// (the calling thread) owns the global acceptance state and arbitrates
-/// uniqueness. Shards proceed in lockstep rounds — one iteration per shard
-/// per round — and the coordinator judges each round's candidates in
+/// uniqueness, and hosts shard 0 itself — only shards `1..num_shards` get
+/// a worker thread. Shards proceed in lockstep rounds — one iteration per
+/// shard per round — and the coordinator judges each round's candidates in
 /// shard-id order, so the result is deterministic for a fixed
 /// `(config, num_shards)`:
 ///
-/// * `num_shards == 1` (or 0, treated as 1) is **bit-identical** to
-///   [`run_campaign`] apart from the wall-clock field;
+/// * `num_shards == 1` (or 0, treated as 1) *is* [`run_campaign`], bit for
+///   bit apart from the wall-clock field;
 /// * any shard count yields the same `CampaignResult` on every run.
 ///
 /// `gen_classes` is ordered round-major, shard-minor. The per-shard
@@ -1139,346 +1321,180 @@ struct RoundReply {
 ///
 /// # Errors
 ///
-/// [`EngineError`] when a worker shard dies outside the contained regions
-/// or a coordination channel closes early — diagnosable (shard id, round,
-/// last candidate) instead of the panic-on-join it replaces.
+/// [`EngineError`] when a shard dies outside the contained regions or a
+/// coordination channel closes early — diagnosable (shard id, round, last
+/// candidate) instead of the panic-on-join it replaces.
 pub fn run_campaign_parallel(
     seeds: &[IrClass],
     config: &CampaignConfig,
     num_shards: usize,
 ) -> Result<CampaignResult, EngineError> {
-    if config.schedule == Schedule::Async {
-        return async_mode::run_campaign_async(seeds, config, num_shards);
+    match config.schedule {
+        Schedule::Lockstep => run_lockstep(seeds, config, num_shards),
+        Schedule::Async => async_mode::run_campaign_async(seeds, config, num_shards),
     }
-    let num_shards = num_shards.max(1);
-    let start = Instant::now();
-    let mutator_count = campaign_mutators(config).len();
-    let crash_dir = config.crash_dir.as_deref();
+}
 
+/// The lockstep scheduler behind [`run_campaign`] and
+/// [`run_campaign_parallel`].
+fn run_lockstep(
+    seeds: &[IrClass],
+    config: &CampaignConfig,
+    num_shards: usize,
+) -> Result<CampaignResult, EngineError> {
+    let start = Instant::now();
+    let num_shards = num_shards.max(1);
+    let reference = Jvm::new(VmSpec::hotspot9());
+    let mut acceptance = make_acceptance(config.algorithm);
+    // Seeds are lowered (and, when needed, traced and selected) exactly
+    // once, here; every shard's pool replica shares these entries.
+    let seed_pool = prepare_seed_pool(seeds, config, &reference, &mut TraceFile::new());
+    seed_acceptance(&mut acceptance, &seed_pool);
+    let budget = campaign_budget(config, &seed_pool);
+    let seed_pool = Arc::new(seed_pool);
     // Iteration split: the remainder goes to the lowest shard ids, so the
     // set of shards still active in any round is a prefix of 0..num_shards.
     let per_shard: Vec<usize> = (0..num_shards)
-        .map(|s| config.iterations / num_shards + usize::from(s < config.iterations % num_shards))
+        .map(|s| budget / num_shards + usize::from(s < budget % num_shards))
         .collect();
-    let rounds = per_shard[0];
+    let mut sink = CampaignSink::new(config, seeds.len(), num_shards, start);
+    let mut stat_tables: Vec<Vec<MutatorStats>> = vec![Vec::new(); num_shards];
 
-    let reference = Jvm::new(VmSpec::hotspot9());
-    let mut acceptance = make_acceptance(config.algorithm);
-    let mut seed_scratch = TraceFile::new();
-    // Seeds are lowered (and, when needed, traced and selected) exactly
-    // once, here; every shard's pool replica shares these entries by `Arc`
-    // handle.
-    let seed_pool = prepare_seed_pool(seeds, config, &reference, &mut seed_scratch);
-    seed_acceptance(&mut acceptance, &seed_pool);
-    let tracing = needs_trace(config.algorithm);
-    // Execution differencing happens coordinator-side, in acceptance order
-    // (round-major, shard-minor) — identical to the sequential engine's
-    // acceptance order at one shard, and deterministic at any shard count.
-    let exec_harness = config.exec_diff.then(DifferentialHarness::paper_five);
-
-    let mut gen_classes: Vec<GeneratedClass> = Vec::new();
-    let mut test_classes: Vec<usize> = Vec::new();
-    let mut crashes: Vec<CrashRecord> = Vec::new();
-    let mut exec_reports: Vec<ExecReport> = Vec::new();
-    let mut shard_stats: Vec<ShardStats> = (0..num_shards)
-        .map(|shard_id| ShardStats {
-            shard_id,
-            iterations: 0,
-            generated: 0,
-            accepted: 0,
-        })
-        .collect();
-
-    // No seeds (empty pool) or no iterations: nothing to run. Returning
-    // here keeps the round protocol free of empty-pool special cases.
-    if seeds.is_empty() || rounds == 0 {
-        return Ok(CampaignResult {
-            algorithm: config.algorithm,
-            iterations: config.iterations,
-            gen_classes,
-            test_classes,
-            mutator_stats: make_selector(config, mutator_count).stats(),
-            elapsed: start.elapsed(),
-            seed_count: seeds.len(),
-            shard_stats,
-            crashes,
-            acceptance: acceptance_telemetry(&acceptance, &exec_reports),
-            exec_reports,
+    let setup =
+        run_contained(|| ShardState::new(config, seeds, 0, per_shard[0], Arc::clone(&seed_pool)));
+    let mut host = match setup {
+        Ok(host) => host,
+        Err(detail) => {
+            sink.record(0, Produced::ShardDied(detail), false);
+            return sink.finish(AcceptanceTelemetry::default(), &stat_tables);
+        }
+    };
+    // Shards with no iterations never report, so they get no thread.
+    let spawned = per_shard.iter().filter(|&&n| n > 0).count().max(1);
+    if spawned == 1 {
+        run_rounds(&mut host, &mut sink, &mut acceptance, &per_shard, None);
+    } else {
+        thread::scope(|scope| {
+            let (report_tx, reports) = mpsc::channel::<Report>();
+            let mut replies = Vec::with_capacity(spawned - 1);
+            let mut handles = Vec::with_capacity(spawned - 1);
+            for (shard_id, &budget) in per_shard.iter().enumerate().take(spawned).skip(1) {
+                let (reply_tx, reply_rx) = mpsc::channel::<RoundReply>();
+                replies.push(reply_tx);
+                let report_tx = report_tx.clone();
+                let pool = Arc::clone(&seed_pool);
+                handles.push(scope.spawn(move || {
+                    contain_shard(shard_id, &report_tx, || {
+                        let mut shard = ShardState::new(config, seeds, shard_id, budget, pool);
+                        for _ in 0..budget {
+                            let produced = shard.step();
+                            let report = Report {
+                                shard_id,
+                                produced,
+                                accepted: false,
+                            };
+                            if report_tx.send(report).is_err() {
+                                break;
+                            }
+                            let Ok(reply) = reply_rx.recv() else {
+                                break;
+                            };
+                            shard.absorb(reply.accepted_own, reply.additions);
+                        }
+                        shard.selector.stats()
+                    })
+                }));
+            }
+            drop(report_tx);
+            let peers = Peers { reports, replies };
+            run_rounds(
+                &mut host,
+                &mut sink,
+                &mut acceptance,
+                &per_shard,
+                Some(&peers),
+            );
+            // Release any shard still blocked on a reply, then collect stats.
+            drop(peers);
+            for (i, handle) in handles.into_iter().enumerate() {
+                stat_tables[i + 1] = sink.join(i + 1, handle.join());
+            }
         });
     }
+    stat_tables[0] = host.selector.stats();
+    let mut telemetry = acceptance_telemetry(&acceptance);
+    // Replicas distill identically; shard 0 runs the full round count.
+    telemetry.distill_passes = host.distill.passes;
+    telemetry.distill_evicted = host.distill.evicted;
+    sink.finish(telemetry, &stat_tables)
+}
 
-    let mut stat_tables: Vec<Vec<MutatorStats>> = vec![Vec::new(); num_shards];
-    let mut shard_distill: Vec<DistillCounters> = vec![DistillCounters::default(); num_shards];
-    let mut engine_error: Option<EngineError> = None;
-    // Per-shard last generated classfile — attached to an EngineError as
-    // the prime suspect when that shard dies. `Arc` handles: recording the
-    // suspect costs a refcount bump per candidate, not a byte copy.
-    let mut last_bytes: Vec<Option<Arc<Vec<u8>>>> = vec![None; num_shards];
-    thread::scope(|scope| {
-        let (report_tx, report_rx) = mpsc::channel::<Report>();
-        let mut reply_txs: Vec<mpsc::Sender<RoundReply>> = Vec::with_capacity(num_shards);
-        let mut handles = Vec::with_capacity(num_shards);
-
-        for (shard_id, &my_iterations) in per_shard.iter().enumerate() {
-            let (reply_tx, reply_rx) = mpsc::channel::<RoundReply>();
-            reply_txs.push(reply_tx);
-            let report_tx = report_tx.clone();
-            let shard_pool = seed_pool.clone();
-            handles.push(scope.spawn(move || -> ShardOutcome {
-                // Mutation and VM startup contain their own panics; this
-                // outer containment is the shard's last line of defence —
-                // an escaped panic becomes a ShardDied report (so the
-                // coordinator can abort diagnosably) instead of a scope
-                // abort that loses the whole campaign's progress.
-                let shard_loop = || -> ShardOutcome {
-                    let mutators: Vec<Mutator> = campaign_mutators(config);
-                    let mut rng = StdRng::seed_from_u64(shard_rng_seed(config.rng_seed, shard_id));
-                    let mut selector = make_selector(config, mutators.len());
-                    let shard_reference = Jvm::new(VmSpec::hotspot9());
-                    let shard_tracing = tracing.then_some(&shard_reference);
-                    // The shard's pool replica: seeds plus every accepted
-                    // mutant, appended in the coordinator's broadcast order.
-                    // Seed entries are shared `Arc` handles, lowered once
-                    // by the coordinator for all shards.
-                    let mut pool: Vec<PoolEntry> = shard_pool;
-                    // Per-shard reusable trace and lowering buffers: one
-                    // allocation each for the whole campaign, cleared
-                    // before each use.
-                    let mut scratch = TraceFile::new();
-                    let mut lower = LowerScratch::new();
-                    let mut distill = DistillCounters::default();
-                    for round in 0..my_iterations {
-                        let produced = next_candidate(
-                            &pool,
-                            seeds,
-                            &mutators,
-                            &mut selector,
-                            &mut rng,
-                            shard_tracing,
-                            &mut scratch,
-                            &mut lower,
-                        );
-                        let (work, mutator_id) = match produced {
-                            Produced::Candidate(c) => {
-                                let id = c.mutator_id;
-                                (Work::Generated(c), Some(id))
-                            }
-                            Produced::NotApplicable => (Work::NoCandidate, None),
-                            Produced::MutatorCrash {
-                                mutator_id,
-                                input_bytes,
-                                detail,
-                            } => (
-                                Work::MutatorCrash {
-                                    mutator_id,
-                                    input_bytes,
-                                    detail,
-                                },
-                                None,
-                            ),
-                        };
-                        if report_tx.send(Report { shard_id, work }).is_err() {
-                            break;
-                        }
-                        let Ok(reply) = reply_rx.recv() else {
-                            break;
-                        };
-                        if reply.accepted_own {
-                            if let Some(id) = mutator_id {
-                                selector.record_success(id);
-                            }
-                        }
-                        pool.extend(reply.additions);
-                        // The same between-iterations boundary the
-                        // sequential engine distills at: after every
-                        // DISTILL_INTERVAL-th completed round, skipping
-                        // the no-op pass after this shard's final round.
-                        if let Some(cap) = config.pool_cap {
-                            if (round + 1).is_multiple_of(DISTILL_INTERVAL)
-                                && round + 1 < my_iterations
-                            {
-                                distill.run(&mut pool, cap);
-                            }
-                        }
-                    }
-                    ShardOutcome {
-                        stats: selector.stats(),
-                        distill,
-                    }
-                };
-                match run_contained(shard_loop) {
-                    Ok(outcome) => outcome,
-                    Err(detail) => {
-                        let _ = report_tx.send(Report {
-                            shard_id,
-                            work: Work::ShardDied(detail),
-                        });
-                        ShardOutcome::default()
-                    }
-                }
-            }));
-        }
-        drop(report_tx);
-
-        // Coordinator: collect each round's reports, judge them in
-        // shard-id order, broadcast the verdicts. Any failure breaks out
-        // with an EngineError; dropping the reply channels then releases
-        // every still-blocked shard.
-        'rounds: for round in 0..rounds {
-            let active = per_shard.iter().filter(|&&n| n > round).count();
-            let mut round_work: Vec<Option<Work>> = (0..active).map(|_| None).collect();
-            for _ in 0..active {
-                let report = match report_rx.recv() {
-                    Ok(report) => report,
-                    Err(_) => {
-                        engine_error = Some(EngineError {
-                            shard_id: None,
-                            round,
-                            last_candidate: None,
-                            message: "every worker shard disconnected mid-round".to_string(),
-                        });
-                        break 'rounds;
-                    }
-                };
-                if let Work::ShardDied(detail) = &report.work {
-                    engine_error = Some(EngineError {
-                        shard_id: Some(report.shard_id),
+/// The lockstep rounds: shard 0 (hosted here) steps while its peers do,
+/// then the coordinator judges the round's candidates in shard-id order,
+/// sends each peer its verdict and the round's accepted classes, and
+/// absorbs them into shard 0. Any failure ends the rounds with the error
+/// held by `sink`; dropping `peers` afterwards releases every blocked
+/// shard. The round buffers are reused, so a one-shard run allocates
+/// nothing per round.
+fn run_rounds(
+    host: &mut ShardState<'_>,
+    sink: &mut CampaignSink<'_>,
+    acceptance: &mut Acceptance,
+    per_shard: &[usize],
+    peers: Option<&Peers>,
+) {
+    let mut round_work: Vec<Option<Produced>> = Vec::with_capacity(per_shard.len());
+    let mut verdicts: Vec<bool> = Vec::with_capacity(per_shard.len());
+    let mut additions: Vec<PoolEntry> = Vec::new();
+    for round in 0..per_shard[0] {
+        let active = per_shard.iter().filter(|&&n| n > round).count();
+        round_work.clear();
+        round_work.push(Some(
+            run_contained(|| host.step()).unwrap_or_else(Produced::ShardDied),
+        ));
+        round_work.resize_with(active, || None);
+        for _ in 1..active {
+            match peers.map(|p| p.reports.recv()) {
+                Some(Ok(report)) => round_work[report.shard_id] = Some(report.produced),
+                _ => {
+                    sink.fail(EngineError {
+                        shard_id: None,
                         round,
-                        last_candidate: last_bytes[report.shard_id]
-                            .take()
-                            .map(|b| b.as_ref().clone()),
-                        message: format!("worker shard died outside containment: {detail}"),
+                        last_candidate: None,
+                        message: "every worker shard disconnected mid-round".to_string(),
                     });
-                    break 'rounds;
-                }
-                round_work[report.shard_id] = Some(report.work);
-            }
-            let mut additions: Vec<PoolEntry> = Vec::new();
-            let mut accepted_flags = vec![false; active];
-            for shard_id in 0..active {
-                shard_stats[shard_id].iterations += 1;
-                let work = match round_work[shard_id].take() {
-                    Some(work) => work,
-                    None => {
-                        engine_error = Some(EngineError {
-                            shard_id: Some(shard_id),
-                            round,
-                            last_candidate: last_bytes[shard_id].take().map(|b| b.as_ref().clone()),
-                            message: "active shard failed to report its round".to_string(),
-                        });
-                        break 'rounds;
-                    }
-                };
-                match work {
-                    Work::NoCandidate => {}
-                    Work::ShardDied(_) => {} // handled at receive time
-                    Work::MutatorCrash {
-                        mutator_id,
-                        input_bytes,
-                        detail,
-                    } => {
-                        record_crash(
-                            &mut crashes,
-                            crash_dir,
-                            CrashRecord {
-                                shard_id,
-                                site: CrashSite::Mutator { mutator_id },
-                                bytes: input_bytes,
-                                detail,
-                            },
-                        );
-                    }
-                    Work::Generated(cand) => {
-                        let cand = *cand;
-                        if let Some(detail) = &cand.vm_crash {
-                            record_crash(
-                                &mut crashes,
-                                crash_dir,
-                                CrashRecord {
-                                    shard_id,
-                                    site: CrashSite::ReferenceVm,
-                                    bytes: cand.bytes.clone(),
-                                    detail: detail.clone(),
-                                },
-                            );
-                        }
-                        let accepted = decide(&mut acceptance, cand.trace.as_ref(), cand.trace_fp);
-                        shard_stats[shard_id].generated += 1;
-                        let gen_index = gen_classes.len();
-                        let class = Arc::new(cand.class);
-                        let bytes = Arc::new(cand.bytes);
-                        last_bytes[shard_id] = Some(Arc::clone(&bytes));
-                        gen_classes.push(GeneratedClass {
-                            class: Arc::clone(&class),
-                            bytes: Arc::clone(&bytes),
-                            mutator_id: cand.mutator_id,
-                            accepted,
-                        });
-                        if accepted {
-                            test_classes.push(gen_index);
-                            if let Some(harness) = &exec_harness {
-                                exec_reports.push(diff_execution(harness, gen_index, &bytes));
-                            }
-                            additions.push(PoolEntry {
-                                class,
-                                bytes,
-                                trace: cand.trace.map(Arc::new),
-                            });
-                            accepted_flags[shard_id] = true;
-                            shard_stats[shard_id].accepted += 1;
-                        }
-                    }
+                    return;
                 }
             }
-            for shard_id in 0..active {
-                let _ = reply_txs[shard_id].send(RoundReply {
-                    accepted_own: accepted_flags[shard_id],
+        }
+        verdicts.clear();
+        for (shard_id, slot) in round_work.iter_mut().enumerate() {
+            let produced = slot.take().unwrap_or_else(|| {
+                Produced::ShardDied("active shard failed to report its round".to_string())
+            });
+            let accepted = match &produced {
+                Produced::Candidate(c) => decide(acceptance, c.trace.as_ref(), c.trace_fp),
+                _ => false,
+            };
+            verdicts.push(accepted);
+            additions.extend(sink.record(shard_id, produced, accepted));
+        }
+        if sink.failed() {
+            return;
+        }
+        if let Some(peers) = peers {
+            for (reply, &accepted_own) in peers.replies.iter().zip(&verdicts[1..]) {
+                let _ = reply.send(RoundReply {
+                    accepted_own,
                     additions: additions.clone(),
                 });
             }
         }
-
-        // Release any shard still blocked on a reply, then collect stats.
-        drop(reply_txs);
-        for (shard_id, handle) in handles.into_iter().enumerate() {
-            match handle.join() {
-                Ok(outcome) => {
-                    stat_tables[shard_id] = outcome.stats;
-                    shard_distill[shard_id] = outcome.distill;
-                }
-                Err(_) => {
-                    if engine_error.is_none() {
-                        engine_error = Some(EngineError {
-                            shard_id: Some(shard_id),
-                            round: rounds,
-                            last_candidate: last_bytes[shard_id].take().map(|b| b.as_ref().clone()),
-                            message: "worker shard panicked past its containment".to_string(),
-                        });
-                    }
-                }
-            }
+        if let Err(detail) = run_contained(|| host.absorb(verdicts[0], additions.drain(..))) {
+            sink.record(0, Produced::ShardDied(detail), false);
+            return;
         }
-    });
-
-    if let Some(error) = engine_error {
-        return Err(error);
     }
-    let mut acceptance = acceptance_telemetry(&acceptance, &exec_reports);
-    acceptance.distill_passes = shard_distill[0].passes;
-    acceptance.distill_evicted = shard_distill[0].evicted;
-    Ok(CampaignResult {
-        algorithm: config.algorithm,
-        iterations: config.iterations,
-        gen_classes,
-        test_classes,
-        mutator_stats: merge_stat_tables(&stat_tables),
-        elapsed: start.elapsed(),
-        seed_count: seeds.len(),
-        shard_stats,
-        crashes,
-        acceptance,
-        exec_reports,
-    })
 }
 
 #[cfg(test)]
@@ -1654,6 +1670,13 @@ mod tests {
             assert!(notes.contains(&crash.detail));
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    #[should_panic(expected = "shard 0 failed in round 0: worker shard died outside containment")]
+    fn run_campaign_panics_with_the_engine_error_when_its_shard_dies() {
+        let cfg = CampaignConfig::new(Algorithm::Randfuzz, 10, 1).with_shard_death_injection(0);
+        run_campaign(&small_seeds(), &cfg);
     }
 
     #[test]

@@ -1,11 +1,15 @@
-//! The free-running asynchronous campaign engine (ROADMAP item 2).
+//! The free-running asynchronous campaign scheduler.
 //!
 //! Shards run unsynchronized over shared acceptance state: accepted traces
 //! are published into a global bitset by word-wise `AtomicU64::fetch_or`
 //! ([`AtomicCoverage`]), the candidate pool lives behind an `RwLock` that
 //! shards read opportunistically and append to under a short write lock,
 //! and the iteration budget is a single `fetch_add` counter — no round
-//! barrier, so the slowest candidate in flight never gates its peers.
+//! barrier, so the slowest candidate in flight never gates its peers. Each
+//! shard steps the same `ShardState` as the lockstep scheduler, and the
+//! collector feeds the same `CampaignSink`; only the acceptance decision
+//! ([`AsyncAcceptance`]) moves shard-side. As under lockstep, the calling
+//! thread hosts shard 0, so a one-shard run spawns no thread.
 //!
 //! Determinism is deliberately scoped to the lockstep engine: with two or
 //! more free-running shards the acceptance *order* depends on thread
@@ -16,10 +20,10 @@
 //! verdict is always taken under the index write lock (uniqueness) or
 //! through the atomic-OR publication itself (greedy), where each bit's
 //! 0→1 transition is observed by exactly one thread. A one-shard async run
-//! replays the sequential campaign bit for bit — same RNG stream, same
-//! pool contents at every pick, same acceptance sequence — which is what
-//! the replay-with-lockstep workflow in the README leans on. See
-//! DESIGN.md §14 for the full argument.
+//! replays `run_campaign` bit for bit — same RNG stream, same pool
+//! contents at every pick, same acceptance sequence — which is what the
+//! replay-with-lockstep workflow in the README leans on. See DESIGN.md §14
+//! for the full argument.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -27,20 +31,15 @@ use std::thread;
 use std::time::Instant;
 
 use classfuzz_coverage::{AtomicCoverage, SuiteIndex, TraceFile, UniquenessCriterion};
-use classfuzz_jimple::{lower::LowerScratch, IrClass};
-use classfuzz_mcmc::{merge_stat_tables, AcceptanceTelemetry, MutatorStats};
-use classfuzz_mutation::Mutator;
+use classfuzz_jimple::IrClass;
+use classfuzz_mcmc::{AcceptanceTelemetry, MutatorStats};
 use classfuzz_vm::{run_contained, Jvm, VmSpec};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use super::{
-    campaign_mutators, diff_execution, distill_pool, make_selector, needs_trace, next_candidate,
-    prepare_seed_pool, record_crash, shard_rng_seed, Algorithm, CampaignConfig, CampaignResult,
-    CrashRecord, CrashSite, EngineError, ExecReport, GeneratedClass, PoolEntry, Produced,
-    ShardStats, DISTILL_INTERVAL,
+    campaign_budget, contain_shard, distill_due, distill_pool, prepare_seed_pool, Algorithm,
+    CampaignConfig, CampaignResult, CampaignSink, EngineError, PoolEntry, Produced, Report,
+    ShardState,
 };
-use crate::diff::DifferentialHarness;
 
 fn read_lock<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
     // A panicking shard is already contained as ShardDied; its poison bit
@@ -234,6 +233,8 @@ struct PoolState {
 struct AsyncShared<'a> {
     config: &'a CampaignConfig,
     seeds: &'a [IrClass],
+    /// The campaign's iteration budget (zero when there are no seeds).
+    budget: usize,
     /// The global candidate pool: seeds plus every accepted mutant minus
     /// distilled evictions, published as a versioned snapshot.
     pool: RwLock<PoolState>,
@@ -243,8 +244,8 @@ struct AsyncShared<'a> {
     acceptance: AsyncAcceptance,
     counters: AsyncCounters,
     /// The shared iteration budget: each shard claims iterations with
-    /// `fetch_add(1)` until the configured total is spent. Work-stealing
-    /// by construction — a stalled shard's budget flows to its peers.
+    /// `fetch_add(1)` until `budget` is spent. Work-stealing by
+    /// construction — a stalled shard's budget flows to its peers.
     next_iteration: AtomicUsize,
     /// Raised by the collector on ShardDied so free-running peers wind
     /// down promptly instead of spending the rest of the budget on a
@@ -252,175 +253,119 @@ struct AsyncShared<'a> {
     stop: AtomicBool,
 }
 
-/// What a shard streams to the collector. Unlike the lockstep `Work`, the
-/// acceptance verdict rides along — it was already decided shard-side.
-enum AsyncWork {
-    Generated {
-        class: Arc<IrClass>,
-        bytes: Arc<Vec<u8>>,
-        mutator_id: usize,
-        accepted: bool,
-        vm_crash: Option<String>,
-    },
-    NoCandidate,
-    MutatorCrash {
-        mutator_id: usize,
-        input_bytes: Vec<u8>,
-        detail: String,
-    },
-    /// Last gasp: the shard's loop died outside the contained regions.
-    ShardDied(String),
-}
-
-struct AsyncReport {
-    shard_id: usize,
-    work: AsyncWork,
+impl AsyncShared<'_> {
+    /// Copy-on-write publish: applies `edit` to a copy of the current
+    /// snapshot under the write lock and, when `edit` reports a change,
+    /// installs the copy as the next version. Returns the latest snapshot
+    /// and its version for the caller's replica — readers holding an older
+    /// `Arc` are unaffected.
+    fn publish(
+        &self,
+        edit: impl FnOnce(&mut Vec<PoolEntry>) -> bool,
+    ) -> (Arc<Vec<PoolEntry>>, u64) {
+        let mut state = write_lock(&self.pool);
+        let mut next = state.entries.as_ref().clone();
+        if edit(&mut next) {
+            state.entries = Arc::new(next);
+            state.version += 1;
+            self.pool_version.store(state.version, Ordering::Release);
+        }
+        (Arc::clone(&state.entries), state.version)
+    }
 }
 
 /// One shard's free-running loop: claim an iteration, opportunistically
-/// sync the pool replica, generate (same `next_candidate` as the other
-/// engines), decide acceptance against the shared state, publish accepted
-/// entries, and stream the result to the collector. Never blocks on a
-/// peer: the only lock held across a decision is the index write lock,
-/// and the mpsc send is unbounded.
+/// sync the pool replica, step the shard, decide acceptance against the
+/// shared state, publish accepted entries, and `deliver` the result with
+/// its verdict to the collector (a worker sends it; shard 0 is the
+/// collector and records it). Never blocks on a peer: the only lock held
+/// across a decision is the index write lock, and the mpsc send is
+/// unbounded.
 fn shard_loop(
     shared: &AsyncShared<'_>,
     shard_id: usize,
-    report_tx: &mpsc::Sender<AsyncReport>,
+    mut deliver: impl FnMut(Report) -> bool,
 ) -> Vec<MutatorStats> {
-    if shared.config.inject_shard_death == Some(shard_id) {
-        panic!("injected shard death (async containment self-test)");
-    }
-    let mutators: Vec<Mutator> = campaign_mutators(shared.config);
-    let mut rng = StdRng::seed_from_u64(shard_rng_seed(shared.config.rng_seed, shard_id));
-    let mut selector = make_selector(shared.config, mutators.len());
-    let reference = Jvm::new(VmSpec::hotspot9());
-    let tracing = needs_trace(shared.config.algorithm).then_some(&reference);
-    let mut scratch = TraceFile::new();
-    let mut lower = LowerScratch::new();
     // The shard's replica is an `Arc` clone of the latest published
     // snapshot — distillation may shrink the shared pool, so replicas
     // track whole snapshots (cheap: one `Arc` clone), not prefixes.
-    let (mut pool, mut pool_version) = {
+    let (pool, mut pool_version) = {
         let state = read_lock(&shared.pool);
         (Arc::clone(&state.entries), state.version)
     };
-    loop {
-        if shared.stop.load(Ordering::Relaxed) {
-            break;
-        }
+    let mut shard = ShardState::new(shared.config, shared.seeds, shard_id, shared.budget, pool);
+    while !shared.stop.load(Ordering::Relaxed) {
         let it = shared.next_iteration.fetch_add(1, Ordering::Relaxed);
-        if it >= shared.config.iterations {
+        if it >= shared.budget {
             break;
         }
         // Opportunistic snapshot sync: no lock unless a peer published.
         if shared.pool_version.load(Ordering::Acquire) != pool_version {
             let state = read_lock(&shared.pool);
-            pool = Arc::clone(&state.entries);
+            shard.pool = Arc::clone(&state.entries);
             pool_version = state.version;
         }
-        let produced = next_candidate(
-            &pool,
-            shared.seeds,
-            &mutators,
-            &mut selector,
-            &mut rng,
-            tracing,
-            &mut scratch,
-            &mut lower,
-        );
-        let work = match produced {
-            Produced::NotApplicable => AsyncWork::NoCandidate,
-            Produced::MutatorCrash {
-                mutator_id,
-                input_bytes,
-                detail,
-            } => AsyncWork::MutatorCrash {
-                mutator_id,
-                input_bytes,
-                detail,
-            },
-            Produced::Candidate(cand) => {
-                let cand = *cand;
-                let accepted =
-                    shared
-                        .acceptance
-                        .decide(&shared.counters, cand.trace.as_ref(), cand.trace_fp);
-                let class = Arc::new(cand.class);
-                let bytes = Arc::new(cand.bytes);
-                if accepted {
-                    selector.record_success(cand.mutator_id);
-                    let entry = PoolEntry {
-                        class: Arc::clone(&class),
-                        bytes: Arc::clone(&bytes),
-                        trace: cand.trace.map(Arc::new),
-                    };
-                    // Copy-on-write publish: build the next snapshot under
-                    // the write lock, bump the version, and adopt it as the
-                    // local replica — readers holding the old `Arc` are
-                    // unaffected.
-                    let mut state = write_lock(&shared.pool);
-                    let mut next = state.entries.as_ref().clone();
-                    next.push(entry);
-                    state.entries = Arc::new(next);
-                    state.version += 1;
-                    shared.pool_version.store(state.version, Ordering::Release);
-                    pool = Arc::clone(&state.entries);
-                    pool_version = state.version;
-                }
-                AsyncWork::Generated {
-                    class,
-                    bytes,
-                    mutator_id: cand.mutator_id,
-                    accepted,
-                    vm_crash: cand.vm_crash,
-                }
+        let mut produced = shard.step();
+        let mut accepted = false;
+        if let Produced::Candidate(cand) = &mut produced {
+            // The trace stays shard-side: only the pool entry needs it.
+            let trace = cand.trace.take();
+            accepted = shared
+                .acceptance
+                .decide(&shared.counters, trace.as_ref(), cand.trace_fp);
+            if accepted {
+                shard.selector.record_success(cand.mutator_id);
+                let entry = PoolEntry {
+                    class: Arc::clone(&cand.class),
+                    bytes: Arc::clone(&cand.bytes),
+                    trace: trace.map(Arc::new),
+                };
+                (shard.pool, pool_version) = shared.publish(|pool| {
+                    pool.push(entry);
+                    true
+                });
             }
-        };
-        // Boundary distillation mirrors the other engines: after the
-        // iteration whose 1-based index hits the interval completes (and
-        // only if the campaign continues past it), so a one-shard async
-        // run prunes at exactly the sequential engine's boundaries.
+        }
+        // The shared pool distills at the global iteration boundaries, so
+        // a one-shard async run prunes exactly where lockstep does.
         if let Some(cap) = shared.config.pool_cap {
-            if (it + 1).is_multiple_of(DISTILL_INTERVAL) && it + 1 < shared.config.iterations {
-                let mut state = write_lock(&shared.pool);
-                let mut next = state.entries.as_ref().clone();
-                let evicted = distill_pool(&mut next, cap);
-                if evicted > 0 {
-                    state.entries = Arc::new(next);
-                    state.version += 1;
-                    shared.pool_version.store(state.version, Ordering::Release);
-                }
-                pool = Arc::clone(&state.entries);
-                pool_version = state.version;
-                drop(state);
-                shared
-                    .counters
-                    .distill_passes
-                    .fetch_add(1, Ordering::Relaxed);
-                shared
-                    .counters
+            if distill_due(it + 1, shared.budget) {
+                let mut evicted = 0;
+                (shard.pool, pool_version) = shared.publish(|pool| {
+                    evicted = distill_pool(pool, cap);
+                    evicted > 0
+                });
+                let counters = &shared.counters;
+                counters.distill_passes.fetch_add(1, Ordering::Relaxed);
+                counters
                     .distill_evicted
                     .fetch_add(evicted as u64, Ordering::Relaxed);
             }
         }
-        if report_tx.send(AsyncReport { shard_id, work }).is_err() {
+        let report = Report {
+            shard_id,
+            produced,
+            accepted,
+        };
+        if !deliver(report) {
             break;
         }
     }
-    selector.stats()
+    shard.selector.stats()
 }
 
-/// Runs one campaign across `num_shards` free-running worker threads —
-/// the [`super::Schedule::Async`] implementation behind
+/// Runs one campaign across `num_shards` free-running shards — the
+/// [`super::Schedule::Async`] implementation behind
 /// [`super::run_campaign_parallel`].
 ///
-/// The collector (the calling thread) drains the report channel as shards
-/// stream results: `gen_classes` lands in arrival order, crash records and
-/// exec-diff reports are handled exactly as in the lockstep engine, and a
-/// ShardDied last gasp raises the stop flag so peers wind down instead of
-/// wedging — then surfaces as a structured [`EngineError`] naming the
-/// shard and its iteration count at death.
+/// The calling thread is the collector and hosts shard 0 itself; only
+/// shards `1..num_shards` get a worker thread, so a one-shard run spawns
+/// nothing. After each of its own iterations the collector drains
+/// whatever the workers have streamed into the campaign sink, so
+/// `gen_classes` lands in arrival order. A ShardDied last gasp raises the
+/// stop flag so peers wind down instead of wedging — then surfaces as a
+/// structured [`EngineError`] naming the shard and its iteration count at
+/// death.
 pub(super) fn run_campaign_async(
     seeds: &[IrClass],
     config: &CampaignConfig,
@@ -428,31 +373,14 @@ pub(super) fn run_campaign_async(
 ) -> Result<CampaignResult, EngineError> {
     let num_shards = num_shards.max(1);
     let start = Instant::now();
-    let crash_dir = config.crash_dir.as_deref();
-
     let reference = Jvm::new(VmSpec::hotspot9());
     let acceptance = AsyncAcceptance::new(config.algorithm);
-    let mut seed_scratch = TraceFile::new();
-    let seed_pool = prepare_seed_pool(seeds, config, &reference, &mut seed_scratch);
+    let seed_pool = prepare_seed_pool(seeds, config, &reference, &mut TraceFile::new());
     acceptance.seed(&seed_pool);
-    let exec_harness = config.exec_diff.then(DifferentialHarness::paper_five);
-
-    let mut gen_classes: Vec<GeneratedClass> = Vec::new();
-    let mut test_classes: Vec<usize> = Vec::new();
-    let mut crashes: Vec<CrashRecord> = Vec::new();
-    let mut exec_reports: Vec<ExecReport> = Vec::new();
-    let mut shard_stats: Vec<ShardStats> = (0..num_shards)
-        .map(|shard_id| ShardStats {
-            shard_id,
-            iterations: 0,
-            generated: 0,
-            accepted: 0,
-        })
-        .collect();
-
     let shared = AsyncShared {
         config,
         seeds,
+        budget: campaign_budget(config, &seed_pool),
         pool_version: AtomicU64::new(0),
         pool: RwLock::new(PoolState {
             version: 0,
@@ -463,182 +391,55 @@ pub(super) fn run_campaign_async(
         next_iteration: AtomicUsize::new(0),
         stop: AtomicBool::new(false),
     };
-
-    // No seeds (empty pool) or no budget: nothing to run.
-    if seeds.is_empty() || config.iterations == 0 {
-        let mutator_count = campaign_mutators(config).len();
-        return Ok(CampaignResult {
-            algorithm: config.algorithm,
-            iterations: config.iterations,
-            gen_classes,
-            test_classes,
-            mutator_stats: make_selector(config, mutator_count).stats(),
-            elapsed: start.elapsed(),
-            seed_count: seeds.len(),
-            shard_stats,
-            crashes,
-            acceptance: async_telemetry(&shared, &exec_reports),
-            exec_reports,
-        });
-    }
-
-    let mut stat_tables: Vec<Vec<MutatorStats>> = vec![Vec::new(); num_shards];
-    let mut engine_error: Option<EngineError> = None;
-    let mut last_bytes: Vec<Option<Arc<Vec<u8>>>> = vec![None; num_shards];
+    let mut sink = CampaignSink::new(config, seeds.len(), num_shards, start);
+    let mut stat_tables = vec![Vec::new(); num_shards];
     thread::scope(|scope| {
-        let (report_tx, report_rx) = mpsc::channel::<AsyncReport>();
+        let (report_tx, reports) = mpsc::channel::<Report>();
         let shared = &shared;
-        let mut handles = Vec::with_capacity(num_shards);
-        for shard_id in 0..num_shards {
-            let report_tx = report_tx.clone();
-            handles.push(scope.spawn(move || -> Vec<MutatorStats> {
-                // Mutation and VM startup contain their own panics; this
-                // outer containment turns anything that escapes into a
-                // ShardDied last gasp so the collector can stop the
-                // campaign diagnosably.
-                match run_contained(|| shard_loop(shared, shard_id, &report_tx)) {
-                    Ok(stats) => stats,
-                    Err(detail) => {
-                        let _ = report_tx.send(AsyncReport {
-                            shard_id,
-                            work: AsyncWork::ShardDied(detail),
-                        });
-                        Vec::new()
-                    }
-                }
-            }));
-        }
+        let handles: Vec<_> = (1..num_shards)
+            .map(|shard_id| {
+                let report_tx = report_tx.clone();
+                scope.spawn(move || {
+                    contain_shard(shard_id, &report_tx, || {
+                        shard_loop(shared, shard_id, |report| report_tx.send(report).is_ok())
+                    })
+                })
+            })
+            .collect();
         drop(report_tx);
-
-        // Collector: drain until every shard hangs up. Shards never wait
-        // for the collector (sends are unbounded), so draining to
-        // disconnect cannot wedge, even mid-failure.
-        for report in report_rx.iter() {
-            let AsyncReport { shard_id, work } = report;
-            if let AsyncWork::ShardDied(detail) = &work {
-                if engine_error.is_none() {
-                    engine_error = Some(EngineError {
-                        shard_id: Some(shard_id),
-                        round: shard_stats[shard_id].iterations,
-                        last_candidate: last_bytes[shard_id].take().map(|b| b.as_ref().clone()),
-                        message: format!("worker shard died outside containment: {detail}"),
-                    });
-                }
+        let mut collect = |report: Report| {
+            sink.record(report.shard_id, report.produced, report.accepted);
+            if sink.failed() {
                 // Free-running peers poll this each iteration; a dead
                 // shard must not leave them burning the rest of the
                 // budget on a campaign that will error out.
                 shared.stop.store(true, Ordering::Relaxed);
-                continue;
             }
-            shard_stats[shard_id].iterations += 1;
-            match work {
-                AsyncWork::ShardDied(_) => {} // handled above
-                AsyncWork::NoCandidate => {}
-                AsyncWork::MutatorCrash {
-                    mutator_id,
-                    input_bytes,
-                    detail,
-                } => {
-                    record_crash(
-                        &mut crashes,
-                        crash_dir,
-                        CrashRecord {
-                            shard_id,
-                            site: CrashSite::Mutator { mutator_id },
-                            bytes: input_bytes,
-                            detail,
-                        },
-                    );
-                }
-                AsyncWork::Generated {
-                    class,
-                    bytes,
-                    mutator_id,
-                    accepted,
-                    vm_crash,
-                } => {
-                    if let Some(detail) = vm_crash {
-                        record_crash(
-                            &mut crashes,
-                            crash_dir,
-                            CrashRecord {
-                                shard_id,
-                                site: CrashSite::ReferenceVm,
-                                bytes: bytes.as_ref().clone(),
-                                detail,
-                            },
-                        );
-                    }
-                    shard_stats[shard_id].generated += 1;
-                    let gen_index = gen_classes.len();
-                    last_bytes[shard_id] = Some(Arc::clone(&bytes));
-                    gen_classes.push(GeneratedClass {
-                        class,
-                        bytes: Arc::clone(&bytes),
-                        mutator_id,
-                        accepted,
-                    });
-                    if accepted {
-                        test_classes.push(gen_index);
-                        shard_stats[shard_id].accepted += 1;
-                        if let Some(harness) = &exec_harness {
-                            exec_reports.push(diff_execution(harness, gen_index, &bytes));
-                        }
-                    }
-                }
-            }
-        }
-
-        for (shard_id, handle) in handles.into_iter().enumerate() {
-            match handle.join() {
-                Ok(stats) => stat_tables[shard_id] = stats,
-                Err(_) => {
-                    if engine_error.is_none() {
-                        engine_error = Some(EngineError {
-                            shard_id: Some(shard_id),
-                            round: shard_stats[shard_id].iterations,
-                            last_candidate: last_bytes[shard_id].take().map(|b| b.as_ref().clone()),
-                            message: "worker shard panicked past its containment".to_string(),
-                        });
-                    }
-                }
-            }
+        };
+        let host = run_contained(|| {
+            shard_loop(shared, 0, |report| {
+                collect(report);
+                reports.try_iter().for_each(&mut collect);
+                true
+            })
+        });
+        stat_tables[0] = host.unwrap_or_else(|detail| {
+            collect(Report {
+                shard_id: 0,
+                produced: Produced::ShardDied(detail),
+                accepted: false,
+            });
+            Vec::new()
+        });
+        // Drain until every worker hangs up. Workers never wait for the
+        // collector (sends are unbounded), so draining to disconnect
+        // cannot wedge, even mid-failure.
+        reports.iter().for_each(&mut collect);
+        for (i, handle) in handles.into_iter().enumerate() {
+            stat_tables[i + 1] = sink.join(i + 1, handle.join());
         }
     });
-
-    if let Some(error) = engine_error {
-        return Err(error);
-    }
-    Ok(CampaignResult {
-        algorithm: config.algorithm,
-        iterations: config.iterations,
-        gen_classes,
-        test_classes,
-        mutator_stats: merge_stat_tables(&stat_tables),
-        elapsed: start.elapsed(),
-        seed_count: seeds.len(),
-        shard_stats,
-        crashes,
-        acceptance: async_telemetry(&shared, &exec_reports),
-        exec_reports,
-    })
-}
-
-/// The campaign's telemetry, read back from the shared atomic counters
-/// (all-zero for greedyfuzz/randfuzz, mirroring the lockstep engine).
-fn async_telemetry(shared: &AsyncShared<'_>, exec_reports: &[ExecReport]) -> AcceptanceTelemetry {
-    let mut telemetry = match shared.acceptance {
-        AsyncAcceptance::Unique { .. } => shared.counters.telemetry(),
-        AsyncAcceptance::Greedy(_) | AsyncAcceptance::All => AcceptanceTelemetry::default(),
-    };
-    // Distillation runs for every algorithm (it is a pool property, not an
-    // acceptance property), so its counters ride along unconditionally.
-    telemetry.distill_passes = shared.counters.distill_passes.load(Ordering::Relaxed);
-    telemetry.distill_evicted = shared.counters.distill_evicted.load(Ordering::Relaxed);
-    telemetry.exec_runs = exec_reports.len() as u64;
-    telemetry.exec_discrepancies = exec_reports
-        .iter()
-        .filter(|r| r.is_exec_discrepancy())
-        .count() as u64;
-    telemetry
+    // Greedyfuzz and randfuzz never touch the offer counters, so their
+    // telemetry is all-zero apart from distillation, as under lockstep.
+    sink.finish(shared.counters.telemetry(), &stat_tables)
 }

@@ -9,6 +9,9 @@
 //!   structured `EngineError` without wedging its free-running peers.
 
 use std::collections::BTreeSet;
+use std::sync::mpsc;
+use std::thread;
+use std::time::Duration;
 
 use classfuzz::core::diff::DifferentialHarness;
 use classfuzz::core::engine::{
@@ -96,43 +99,80 @@ fn one_shard_async_replays_sequential_with_seed_intelligence_on() {
     // pool and distillation evicting at iteration boundaries, a one-shard
     // async run still replays the sequential campaign bit for bit —
     // selection happens before the loop, and both engines distill the
-    // identical pool at the identical boundaries.
+    // identical pool at the identical boundaries. The second config adds
+    // the chaos mutator and execution differencing, so crash records and
+    // exec reports go through both schedulers' sinks as well.
     use classfuzz::core::engine::SeedSelect;
     let seeds = small_seeds();
     for algorithm in Algorithm::table4_lineup() {
-        let config = CampaignConfig::new(algorithm, 90, 17)
+        let base = CampaignConfig::new(algorithm, 90, 17)
             .with_schedule(Schedule::Async)
             .with_seed_select(SeedSelect::MaxCover)
             .with_pool_cap(4);
-        let sequential = run_campaign(&seeds, &config);
-        let parallel = run_campaign_parallel(&seeds, &config, 1).expect("engine error");
-
-        assert_eq!(
-            sequential.test_classes, parallel.test_classes,
-            "{algorithm}: accepted indices diverge under maxcover + distill"
-        );
-        assert_eq!(
-            sequential
-                .gen_classes
-                .iter()
-                .map(|g| (&g.bytes, g.mutator_id, g.accepted))
-                .collect::<Vec<_>>(),
-            parallel
-                .gen_classes
-                .iter()
-                .map(|g| (&g.bytes, g.mutator_id, g.accepted))
-                .collect::<Vec<_>>(),
-            "{algorithm}: generated streams diverge under maxcover + distill"
-        );
-        assert_eq!(
-            sequential.acceptance.distill_passes, parallel.acceptance.distill_passes,
-            "{algorithm}: distillation pass counts diverge"
-        );
-        assert_eq!(
-            sequential.acceptance.distill_evicted, parallel.acceptance.distill_evicted,
-            "{algorithm}: distillation eviction counts diverge"
-        );
+        let chaos = base.clone().with_panic_injection().with_exec_diff();
+        for config in [base, chaos] {
+            let sequential = run_campaign(&seeds, &config);
+            let parallel = run_campaign_parallel(&seeds, &config, 1).expect("engine error");
+            assert_same_observable_result(&sequential, &parallel, &config);
+        }
     }
+}
+
+/// Asserts that two campaigns of `config` produced the same observable
+/// result: everything in `CampaignResult` except the wall clock.
+fn assert_same_observable_result(
+    sequential: &CampaignResult,
+    parallel: &CampaignResult,
+    config: &CampaignConfig,
+) {
+    let label = format!(
+        "{} (maxcover + distill, chaos: {}, exec-diff: {})",
+        config.algorithm, config.inject_panic_mutator, config.exec_diff
+    );
+    assert_eq!(
+        sequential.test_classes, parallel.test_classes,
+        "{label}: accepted indices diverge"
+    );
+    assert_eq!(
+        sequential
+            .gen_classes
+            .iter()
+            .map(|g| (&g.bytes, g.mutator_id, g.accepted))
+            .collect::<Vec<_>>(),
+        parallel
+            .gen_classes
+            .iter()
+            .map(|g| (&g.bytes, g.mutator_id, g.accepted))
+            .collect::<Vec<_>>(),
+        "{label}: generated streams diverge"
+    );
+    assert_eq!(
+        sequential.acceptance.distill_passes, parallel.acceptance.distill_passes,
+        "{label}: distillation pass counts diverge"
+    );
+    assert_eq!(
+        sequential.acceptance.distill_evicted, parallel.acceptance.distill_evicted,
+        "{label}: distillation eviction counts diverge"
+    );
+    assert_eq!(
+        sequential.mutator_stats, parallel.mutator_stats,
+        "{label}: mutator stats diverge"
+    );
+    assert_eq!(sequential.crashes, parallel.crashes, "{label}: crashes");
+    assert_eq!(
+        sequential.exec_reports, parallel.exec_reports,
+        "{label}: exec reports diverge"
+    );
+    assert_eq!(
+        sequential.shard_stats, parallel.shard_stats,
+        "{label}: shard stats diverge"
+    );
+    assert_eq!(
+        sequential.acceptance, parallel.acceptance,
+        "{label}: acceptance telemetry diverges"
+    );
+    assert_eq!(sequential.iterations, parallel.iterations, "{label}");
+    assert_eq!(sequential.seed_count, parallel.seed_count, "{label}");
 }
 
 #[test]
@@ -221,27 +261,50 @@ fn async_multi_shard_acceptance_rejects_duplicate_statistics() {
 
 #[test]
 fn async_shard_death_surfaces_structured_engine_error() {
+    // Both schedulers, at one and three shards, killing shard 0 (which
+    // the lockstep coordinator hosts on its own thread) and shard 1 (a
+    // worker thread). Each run runs on a helper thread so a wedged
+    // campaign fails the test instead of hanging it.
     let seeds = small_seeds();
-    let config = CampaignConfig::new(Algorithm::Classfuzz(UniquenessCriterion::StBr), 400, 7)
-        .with_schedule(Schedule::Async)
-        .with_shard_death_injection(1);
-    let err = run_campaign_parallel(&seeds, &config, 3)
-        .expect_err("an injected shard death must fail the campaign");
-    assert_eq!(err.shard_id, Some(1), "the dead shard must be named");
-    assert!(
-        err.message.contains("died outside containment"),
-        "message: {}",
-        err.message
-    );
-    assert!(
-        err.message.contains("injected shard death"),
-        "the panic detail must ride along: {}",
-        err.message
-    );
-    // The surviving shards wound down through the stop flag rather than
-    // wedging — reaching this line at all is the real assertion, but the
-    // injection fired before shard 1 consumed any budget, so its peers
-    // can never have spent the whole 400.
+    for schedule in [Schedule::Lockstep, Schedule::Async] {
+        for shards in [1, 3] {
+            for victim in (0..shards).take(2) {
+                let config =
+                    CampaignConfig::new(Algorithm::Classfuzz(UniquenessCriterion::StBr), 400, 7)
+                        .with_schedule(schedule)
+                        .with_shard_death_injection(victim);
+                let (done_tx, done_rx) = mpsc::channel();
+                let run_seeds = seeds.clone();
+                thread::spawn(move || {
+                    let _ = done_tx.send(run_campaign_parallel(&run_seeds, &config, shards));
+                });
+                let label = format!("{schedule}, {shards} shard(s), shard {victim} killed");
+                let err = done_rx
+                    .recv_timeout(Duration::from_secs(120))
+                    .unwrap_or_else(|_| panic!("{label}: campaign did not return"))
+                    .expect_err("an injected shard death must fail the campaign");
+                assert_eq!(
+                    err.shard_id,
+                    Some(victim),
+                    "{label}: the dead shard must be named"
+                );
+                assert!(
+                    err.message.contains("died outside containment"),
+                    "{label}: message: {}",
+                    err.message
+                );
+                assert!(
+                    err.message.contains("injected shard death"),
+                    "{label}: the panic detail must ride along: {}",
+                    err.message
+                );
+            }
+        }
+    }
+    // The surviving shards wound down (async: the stop flag; lockstep: the
+    // dropped reply channels) rather than wedging — returning within the
+    // timeout is the real assertion. The injection fires before the victim
+    // consumes any budget, so its peers can never have spent the whole 400.
 }
 
 #[test]

@@ -2,8 +2,8 @@
 //! containment"): a campaign with an always-panicking mutator in the
 //! rotation must run to its full budget, record every injected panic as a
 //! crash, persist reproducers to the crash corpus, and stay deterministic
-//! — with `num_shards = 1` bit-identical to the sequential engine,
-//! crashes included.
+//! — with `num_shards = 1` bit-identical to `run_campaign`, crashes
+//! included.
 
 use std::path::PathBuf;
 
