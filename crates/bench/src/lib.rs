@@ -10,6 +10,7 @@
 pub mod alloc_count;
 pub mod covbench;
 pub mod execbench;
+pub mod gate;
 pub mod harnessbench;
 pub mod interpbench;
 pub mod mutatebench;
