@@ -190,15 +190,10 @@ pub(crate) fn metrics(
 }
 
 /// An arm whose every sample times `op`, which performs `ops` operations,
-/// in ns/op. A sample lasts well under a millisecond, so the interleaved
-/// arm before it leaves the caches cold for it; one discarded sample first
-/// restores the steady state the sample is meant to measure.
+/// in ns/op.
 fn ns_per_op(ops: usize, op: impl FnMut()) -> impl FnMut() -> f64 {
     let mut rate = per_sec(ops, op);
-    move || {
-        rate();
-        1e9 / rate()
-    }
+    move || 1e9 / rate()
 }
 
 #[cfg(test)]

@@ -228,7 +228,10 @@ fn median(mut samples: Vec<f64>) -> f64 {
 /// Takes `repeats` samples of every arm, alternating A, B, A, B …, and
 /// returns each arm's median. Interleaving makes machine load that drifts
 /// during the run hit every arm alike instead of skewing the ratio of two
-/// arms timed in separate blocks.
+/// arms timed in separate blocks. Each kept sample follows one discarded
+/// sample of the same arm, so it starts from the caches and allocator
+/// state that arm leaves behind, as it would inside a block, rather than
+/// from what the other arm left.
 pub(crate) fn interleaved<const N: usize>(
     repeats: usize,
     mut arms: [&mut dyn FnMut() -> f64; N],
@@ -236,6 +239,7 @@ pub(crate) fn interleaved<const N: usize>(
     let mut samples: [Vec<f64>; N] = std::array::from_fn(|_| Vec::with_capacity(repeats));
     for _ in 0..repeats {
         for (arm, samples) in arms.iter_mut().zip(&mut samples) {
+            arm();
             samples.push(arm());
         }
     }
@@ -511,8 +515,9 @@ mod tests {
     #[test]
     fn interleaved_alternates_arms_and_takes_each_median() {
         let order = std::cell::RefCell::new(Vec::new());
-        let mut a = [3.0, 1.0, 2.0].into_iter();
-        let mut b = [10.0, 30.0, 20.0].into_iter();
+        // Every other sample is a discarded warm-up of the same arm.
+        let mut a = [0.0, 3.0, 0.0, 1.0, 0.0, 2.0].into_iter();
+        let mut b = [0.0, 10.0, 0.0, 30.0, 0.0, 20.0].into_iter();
         let medians = interleaved(
             3,
             [
@@ -527,6 +532,7 @@ mod tests {
             ],
         );
         assert_eq!(medians, [2.0, 20.0]);
-        assert_eq!(order.into_inner(), ['a', 'b', 'a', 'b', 'a', 'b']);
+        let order = order.into_inner().into_iter().collect::<String>();
+        assert_eq!(order, "aabbaabbaabb");
     }
 }
